@@ -163,7 +163,7 @@ func BenchmarkEngineTimeline(b *testing.B) {
 	r := rng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Simulate(cfg, r); err != nil {
+		if _, _, err := engine.SimulateInto(cfg, r, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,39 +213,6 @@ func BenchmarkEngineTimelineFlatTopoInto(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSequential measures the Fig. 5 interval engine on the
-// same configuration.
-func BenchmarkEngineSequential(b *testing.B) {
-	cfg := baseSimConfig()
-	engine := sim.IntervalEngine{}
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Simulate(cfg, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineSequentialInto measures the interval engine's scratch-
-// reusing append path.
-func BenchmarkEngineSequentialInto(b *testing.B) {
-	cfg := baseSimConfig()
-	engine := sim.IntervalEngine{}
-	var (
-		r   rng.RNG
-		buf []sim.DDF
-		err error
-	)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.SeedStream(1, uint64(i))
-		if buf, _, err = engine.SimulateInto(cfg, &r, buf[:0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchRunBlock drives the batched block path the way the runner does in
 // production — one worker, whole blocks per scratch acquisition — so ns/op
 // is the amortized per-iteration cost the Monte Carlo campaign actually
@@ -266,14 +233,14 @@ func benchRunBlock(b *testing.B, cfg sim.Config) {
 }
 
 // BenchmarkEngineBlockInto measures the batched structure-of-arrays engine
-// on the base case — the tentpole comparison against
-// BenchmarkEngineSequentialInto's scalar interval chronology.
+// on the base case — the default engine's per-iteration cost, gated
+// against BenchmarkEngineTimelineInto's event-engine chronology.
 func BenchmarkEngineBlockInto(b *testing.B) {
 	benchRunBlock(b, baseSimConfig())
 }
 
 // BenchmarkEngineBlockBiasedInto measures the block engine under the θ = 8
-// importance-sampling tilt, against BenchmarkEngineSequentialBiasedInto.
+// importance-sampling tilt, against BenchmarkEngineTimelineBiasedInto.
 func BenchmarkEngineBlockBiasedInto(b *testing.B) {
 	cfg := baseSimConfig()
 	cfg.Bias.Op = 8
@@ -330,25 +297,6 @@ func biasedSimConfig() sim.Config {
 func BenchmarkEngineTimelineBiasedInto(b *testing.B) {
 	cfg := biasedSimConfig()
 	engine := sim.EventEngine{}
-	var (
-		r   rng.RNG
-		buf []sim.DDF
-		err error
-	)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.SeedStream(1, uint64(i))
-		if buf, _, err = engine.SimulateInto(cfg, &r, buf[:0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineSequentialBiasedInto measures the interval engine under
-// the same θ = 8 tilt.
-func BenchmarkEngineSequentialBiasedInto(b *testing.B) {
-	cfg := biasedSimConfig()
-	engine := sim.IntervalEngine{}
 	var (
 		r   rng.RNG
 		buf []sim.DDF
@@ -459,7 +407,7 @@ func BenchmarkBathtubTTOp(b *testing.B) {
 	var total int
 	for i := 0; i < b.N; i++ {
 		total = 0
-		res, err := sim.Run(sim.RunSpec{Config: cfg, Iterations: benchOpt.Iterations, Seed: benchOpt.Seed})
+		res, err := sim.RunSparse(sim.RunSpec{Config: cfg, Iterations: benchOpt.Iterations, Seed: benchOpt.Seed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -483,7 +431,7 @@ func BenchmarkScrubShapeAblation(b *testing.B) {
 		for _, scrub := range []dist.Distribution{weibullScrub, normalScrub} {
 			cfg := baseSimConfig()
 			cfg.Trans.TTScrub = scrub
-			res, err := sim.Run(sim.RunSpec{Config: cfg, Iterations: benchOpt.Iterations, Seed: benchOpt.Seed})
+			res, err := sim.RunSparse(sim.RunSpec{Config: cfg, Iterations: benchOpt.Iterations, Seed: benchOpt.Seed})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -562,10 +510,10 @@ func BenchmarkRSEncodeRebuild(b *testing.B) { benchmarkCodec(b, raid.RAID6RS) }
 // ddfsBeforeResult builds one shared heavy-tail run for the DDFsBefore
 // benchmarks: a no-scrub configuration so tens of thousands of groups
 // carry events.
-func ddfsBeforeResult(b *testing.B) *sim.RunResult {
+func ddfsBeforeResult(b *testing.B) *sim.SparseResult {
 	cfg := baseSimConfig()
 	cfg.Trans.TTScrub = nil // no scrub: ~100× more DDFs to index
-	res, err := sim.Run(sim.RunSpec{Config: cfg, Iterations: 20000, Seed: 1})
+	res, err := sim.RunSparse(sim.RunSpec{Config: cfg, Iterations: 20000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -601,17 +549,16 @@ func BenchmarkDDFsBeforeIndexed(b *testing.B) {
 }
 
 // BenchmarkDDFsBeforeScan measures the pre-optimization behaviour — a
-// full per-group scan at every query point — as the comparison baseline.
+// full scan over every event at every query point — as the comparison
+// baseline.
 func BenchmarkDDFsBeforeScan(b *testing.B) {
 	res := ddfsBeforeResult(b)
 	grid := ddfsBeforeGrid(core.BaseMissionHours)
 	scan := func(t float64) int {
 		n := 0
-		for _, g := range res.PerGroup {
-			for _, d := range g {
-				if d.Time <= t {
-					n++
-				}
+		for _, e := range res.Events {
+			if e.Time <= t {
+				n++
 			}
 		}
 		return n

@@ -57,10 +57,12 @@
 // control — the indicator control variate ("cv") for no-scrub regimes, or
 // the conditional-DDF variate ("cond") for scrubbed ones, where the
 // indicator loses its correlation ("all" enables antithetic+stratify+cv;
-// "cond" requires a memoryless defect process and excludes "cv"). Any -vr
-// value, or a bare -batch-block, routes the run through the batched block
-// engine, which is bit-identical to the scalar engines when no technique
-// is enabled.
+// "cond" requires a memoryless defect process and excludes "cv").
+// -batch-block only sets the block length: the iterations the batched
+// block engine simulates per dispatch, and the VR block size. Every run
+// already uses the block engine whenever it can model the configuration —
+// finite spares, coupled topologies and fleets run on the event or fleet
+// engine — and a bare -batch-block leaves the results unchanged.
 package main
 
 import (
@@ -128,7 +130,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	bias := fs.Float64("bias", 0, "importance sampling: operational-failure hazard scale factor (0 or 1 = off)")
 	biasLd := fs.Float64("bias-ld", 0, "importance sampling: latent-defect hazard scale factor (0 or 1 = off; rarely useful, see DESIGN.md)")
 	vrFlag := fs.String("vr", "", "variance reduction: comma list of antithetic, stratify, cv, cond — or all (empty = off)")
-	batchBlock := fs.Int("batch-block", 0, "block engine batch length / VR block size (0 = default; setting it routes through the block engine)")
+	batchBlock := fs.Int("batch-block", 0, "block length: iterations per block-engine dispatch and VR block size (0 = default 256)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
 	if err := fs.Parse(args); err != nil {

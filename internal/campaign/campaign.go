@@ -46,7 +46,8 @@ type Spec struct {
 	Seed uint64
 	// Workers is the per-batch parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Engine selects the simulation engine (nil = sim.EventEngine).
+	// Engine selects the simulation engine (nil = sim.DefaultEngine(Config),
+	// or the fleet engine for fleet campaigns).
 	Engine sim.Engine
 
 	// Offset shifts the campaign's RNG stream assignment: local iteration i
@@ -107,15 +108,14 @@ func (s Spec) withDefaults() Spec {
 	if s.BatchSize == 0 {
 		s.BatchSize = DefaultBatchSize
 	}
+	if s.Engine == nil && s.Fleet == nil {
+		s.Engine = sim.DefaultEngine(s.Config)
+	}
 	if s.Config.VR.Enabled() {
 		// Variance reduction acts within blocks of consecutive iterations, so
 		// every batch must cover whole blocks: round the batch size and any
-		// iteration budget up to block multiples, and default the engine to
-		// the block engine VR requires. A split block would stratify over a
-		// partial quantile range and bias its block mean.
-		if s.Engine == nil {
-			s.Engine = sim.BlockEngine{}
-		}
+		// iteration budget up to block multiples. A split block would
+		// stratify over a partial quantile range and bias its block mean.
 		bs := s.Config.VR.EffectiveBlock()
 		if bs > 0 {
 			s.BatchSize = roundUp(s.BatchSize, bs)
@@ -421,7 +421,7 @@ func assemble(spec Spec, run *sim.SparseResult, done, batches, resumedFrom int, 
 			res.ESS = stats.ESS(ws)
 		}
 		switch {
-		case spec.Config.VR.Enabled() && run.VR != nil && len(run.VR.Blocks) >= 2:
+		case spec.Config.VR.Enabled() && run.VR != nil && len(run.VR.Blocks) >= minVRBlocks(spec.Config.VR):
 			// Variance-reduced campaign: blocks are iid by construction, so
 			// the stopping interval is a normal interval over block means —
 			// control-variate adjusted when that technique is on.
@@ -453,6 +453,19 @@ func assemble(spec Spec, run *sim.SparseResult, done, batches, resumedFrom int, 
 		}
 	}
 	return res
+}
+
+// minVRBlocks is the fewest completed blocks a VR campaign needs before its
+// block-mean interval means anything: two for a plain mean, three when a
+// control variate also fits a slope from the same blocks (with two, the
+// fit leaves no residual and the interval has zero width). Until then the
+// campaign uses the per-group interval, as it does before its first block
+// pair.
+func minVRBlocks(v sim.VR) int {
+	if v.AnyControl() {
+		return stats.MinCVObservations
+	}
+	return 2
 }
 
 // assembleVR fills res.CI, res.RelErr, and the VR diagnostics from the

@@ -59,10 +59,20 @@ type checkpointVR struct {
 	Blocks    []sim.VRBlock `json:"blocks"`
 }
 
-// engineName names the effective engine for fingerprinting.
-func engineName(e sim.Engine) string {
-	if e == nil {
-		return fmt.Sprintf("%T", sim.EventEngine{})
+// engineName names the effective engine for fingerprinting. A nil engine
+// resolves through sim.DefaultEngine, so a spec hashes the same before
+// and after withDefaults — the result cache, the shard manifest and the
+// checkpoint all see one engine identity. Fleet campaigns keep the event
+// engine's name they have always hashed: their engine is the fleet
+// engine regardless.
+func engineName(s Spec) string {
+	e := s.Engine
+	switch {
+	case e != nil:
+	case s.Fleet != nil:
+		e = sim.EventEngine{}
+	default:
+		e = sim.DefaultEngine(s.Config)
 	}
 	return fmt.Sprintf("%T", e)
 }
@@ -82,7 +92,7 @@ func (s Spec) Fingerprint() string {
 	cfg := s.Config
 	h := fnv.New64a()
 	fmt.Fprintf(h, "drives=%d;red=%d;mission=%g;seed=%d;engine=%s;",
-		cfg.Drives, cfg.Redundancy, cfg.Mission, s.Seed, engineName(s.Engine))
+		cfg.Drives, cfg.Redundancy, cfg.Mission, s.Seed, engineName(s))
 	fmt.Fprintf(h, "ttop=%v;ttr=%v;ttld=%v;ttscrub=%v;",
 		cfg.Trans.TTOp, cfg.Trans.TTR, cfg.Trans.TTLd, cfg.Trans.TTScrub)
 	fmt.Fprintf(h, "nhpp=%t;nhppmax=%g;", cfg.Trans.TTLdRate != nil, cfg.Trans.TTLdRateMax)

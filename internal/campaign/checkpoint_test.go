@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"raidrel/internal/dist"
@@ -189,6 +190,39 @@ func TestCheckpointRoundTripWithTopology(t *testing.T) {
 	flat.Config.Topology = nil
 	if _, err := Run(context.Background(), flat); err == nil {
 		t.Error("flat campaign resumed a coupled-topology checkpoint")
+	}
+}
+
+// A checkpoint written while the event engine was the default carries the
+// event engine's fingerprint — what an explicit EventEngine spec writes
+// today. Now that a nil engine resolves to the block engine, resuming it
+// under the default must fail with the descriptive mismatch error: the
+// block engine draws different chronologies from the same streams, so a
+// silent resume would splice two engines into one estimate.
+func TestResumeRejectsOldDefaultEngineCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.json")
+	old := Spec{Config: fastConfig(), Seed: 1, BatchSize: 100, MaxIterations: 100, Checkpoint: path, Engine: sim.EventEngine{}}
+	if _, err := Run(context.Background(), old); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := old
+	resumed.Engine = nil
+	resumed.Checkpoint = ""
+	resumed.Resume = path
+	resumed.MaxIterations = 200
+	_, err := Run(context.Background(), resumed)
+	if err == nil {
+		t.Fatal("default-engine campaign resumed an event-engine checkpoint")
+	}
+	if !strings.Contains(err.Error(), "does not match campaign") {
+		t.Fatalf("resume error %q is not the fingerprint mismatch error", err)
+	}
+
+	// Naming the event engine keeps the old checkpoint resumable.
+	resumed.Engine = sim.EventEngine{}
+	if _, err := Run(context.Background(), resumed); err != nil {
+		t.Fatalf("explicit event-engine resume rejected: %v", err)
 	}
 }
 

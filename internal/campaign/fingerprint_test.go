@@ -13,6 +13,11 @@ import (
 // so a silent change would orphan every on-disk checkpoint and split the
 // cache. If this test fails, either revert the change to Fingerprint or
 // bump CheckpointVersion and migrate deliberately.
+//
+// The engine is part of the identity, so the spec is pinned twice: with
+// the event engine named explicitly (the digest every checkpoint written
+// while the event engine was the default carries), and with the engine
+// left nil, which resolves through sim.DefaultEngine to the block engine.
 func TestFingerprintStability(t *testing.T) {
 	spec := Spec{
 		Config: sim.Config{
@@ -24,11 +29,22 @@ func TestFingerprintStability(t *testing.T) {
 				TTR:  dist.MustExponential(1e-1),
 			},
 		},
-		Seed: 42,
+		Seed:   42,
+		Engine: sim.EventEngine{},
 	}
 	const want = "41bd9c5d9dffb37f"
 	if got := spec.Fingerprint(); got != want {
 		t.Errorf("fingerprint changed: got %s, want %s (cache keys and checkpoints would be orphaned)", got, want)
+	}
+
+	spec.Engine = nil
+	const wantDefault = "4baaf4bc1d7bbbea"
+	if got := spec.Fingerprint(); got != wantDefault {
+		t.Errorf("default-engine fingerprint changed: got %s, want %s", got, wantDefault)
+	}
+	spec.Engine = sim.BlockEngine{}
+	if got := spec.Fingerprint(); got != wantDefault {
+		t.Errorf("nil engine fingerprints as %s, explicit block engine as %s; they must agree", wantDefault, got)
 	}
 }
 
@@ -49,9 +65,14 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 
 	engine := base
-	engine.Engine = sim.IntervalEngine{}
+	engine.Engine = sim.EventEngine{}
 	if engine.Fingerprint() == fp {
 		t.Error("engine change did not change the fingerprint")
+	}
+	// The fingerprint resolves a nil engine, so it is the same before and
+	// after the campaign fills in its defaults.
+	if got := base.withDefaults().Fingerprint(); got != fp {
+		t.Errorf("defaulted spec fingerprints as %s, undefaulted as %s", got, fp)
 	}
 
 	// Shard offsets are part of the identity (a shard checkpoint must not

@@ -187,7 +187,7 @@ func TestVRSpecAlignment(t *testing.T) {
 
 	wrongEngine := vrSpec()
 	wrongEngine.MaxIterations = 128
-	wrongEngine.Engine = sim.IntervalEngine{}
+	wrongEngine.Engine = sim.EventEngine{}
 	if err := wrongEngine.Validate(); err == nil {
 		t.Error("VR with a non-block engine accepted")
 	}
@@ -408,6 +408,43 @@ func scrubBaseConfig() sim.Config {
 	cfg := noScrubBaseConfig()
 	cfg.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
 	return cfg
+}
+
+// TestCVCampaignNeedsThreeBlocks is the regression test for the zero-width
+// control-variate interval: `raidsim -vr antithetic,stratify,cond
+// -target-rel-err 0.005 -batch 512` stopped after its first batch — two
+// 256-iteration blocks — with "relative half-width 0", because fitting a
+// mean and a slope to two block means leaves no residual. The campaign
+// must instead run on, and never report a zero-width interval.
+func TestCVCampaignNeedsThreeBlocks(t *testing.T) {
+	cfg := scrubBaseConfig()
+	cfg.VR = sim.VR{Antithetic: true, Stratify: true, CondVariate: true}
+	var snaps []Snapshot
+	res, err := Run(context.Background(), Spec{
+		Config:        cfg,
+		Seed:          1,
+		BatchSize:     512,
+		TargetRelErr:  0.005,
+		MaxIterations: 2048,
+		Progress:      ProgressFunc(func(s Snapshot) { snaps = append(snaps, s) }),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reason != StopMaxIterations || res.Iterations != 2048 {
+		t.Fatalf("stopped for %v after %d iterations, want the 2048-iteration budget", res.Reason, res.Iterations)
+	}
+	if len(snaps) == 0 {
+		t.Fatal("no progress snapshots")
+	}
+	for _, s := range snaps {
+		if !(s.RelErr > 0) {
+			t.Fatalf("snapshot at %d iterations reports relative half-width %v", s.Iterations, s.RelErr)
+		}
+	}
+	if !(res.RelErr > 0) || !(res.CI.Hi > res.CI.Lo) {
+		t.Fatalf("final interval [%g, %g] relative half-width %v", res.CI.Lo, res.CI.Hi, res.RelErr)
+	}
 }
 
 // TestVREfficiencyFigureScrubbed is the scrubbed-regime counterpart of

@@ -20,10 +20,10 @@ func TestSimulateIntoZeroAlloc(t *testing.T) {
 	}
 	engines := []struct {
 		name string
-		eng  IntoSimulator
+		eng  Engine
 	}{
 		{"EventEngine", EventEngine{}},
-		{"IntervalEngine", IntervalEngine{}},
+		{"BlockEngine", BlockEngine{}},
 	}
 	biases := []struct {
 		name string
@@ -142,7 +142,7 @@ func TestSimulateIntoZeroAllocCoupled(t *testing.T) {
 
 // TestRunSparseMemoryFootprint is the O(events)-not-O(iterations)
 // regression guard: a 1M-iteration base-case run must allocate far less
-// than the dense PerGroup representation's 24 MB of slice headers alone.
+// than a per-group slice representation's 24 MB of slice headers alone.
 // The bound is generous — the point is the asymptotic class, not the
 // constant.
 func TestRunSparseMemoryFootprint(t *testing.T) {

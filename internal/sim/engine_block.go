@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -12,11 +11,14 @@ import (
 )
 
 // BlockEngine is the batched structure-of-arrays implementation of the
-// interval chronology. It consumes the RNG through a prefetched uniform
-// column — one bulk rng.Uint64s refill ahead of a pre-logged exponential
-// frontier — and runs the compiled kernel transforms as flat array math,
-// while producing chronologies bit-identical to IntervalEngine: the same
-// stream yields the same DDFs and the same log weight, draw for draw.
+// paper's Fig. 5 timing diagram: each slot's alternating TTF/TTR episodes
+// and defect intervals are laid out first, then the merged failure
+// sequence is swept for DDFs. It consumes the RNG through a prefetched
+// uniform column — one bulk rng.Uint64s refill ahead of a pre-logged
+// exponential frontier — and runs the compiled kernel transforms as flat
+// array math, while producing exactly the chronology the eager per-draw
+// construction would: the same stream yields the same DDFs and the same
+// log weight, draw for draw (pinned by a frozen seed-grid digest).
 //
 // Two lazy-transform shortcuts keep the per-iteration math sublinear in the
 // draw count without breaking that identity:
@@ -36,22 +38,22 @@ import (
 //     weight factor is still bit-exact.
 //   - Scrub completions stay raw uniforms: a defect stores its scrub draw
 //     untransformed and resolves the exact end -log(u) -> FromExp (the
-//     same value the interval engine computes eagerly, memoized) only on
-//     its first liveness query. Defects never queried — the overwhelming
+//     same value an eager construction computes, memoized) only on its
+//     first liveness query. Defects never queried — the overwhelming
 //     majority — never pay the log.
 //
 // The engine requires every configured transition distribution to compile
 // to a specialized kernel (dist.Kernel.Compiled — Weibull or Exponential,
-// i.e. everything the paper's model uses); generic scripted distributions
-// and finite spare pools are rejected, as is the interval engine's spare
-// restriction. The NHPP defect process is supported through the same
+// i.e. everything the paper's model uses) and flat slots; EngineSupports
+// rejects generic scripted distributions, finite spare pools and coupled
+// topologies. The NHPP defect process is supported through the same
 // column.
 //
-// Like the scalar engines it implements Engine and IntoSimulator for
-// one-group use; the runner's block path drives the pooled scratch
-// directly, simulating a whole block of groups per scratch acquisition,
-// with the variance-reduction hooks (antithetic pairing, stratified first
-// draw, control-variate indicator) applied per iteration.
+// It implements Engine for one-group use; the runner's block path drives
+// the pooled scratch directly, simulating a whole block of groups per
+// scratch acquisition, with the variance-reduction hooks (antithetic
+// pairing, stratified first draw, control-variate indicator) applied per
+// iteration.
 //
 // The column prefetches uniforms, so the generator is advanced further
 // than the draws consumed; callers must not interleave other draws on the
@@ -63,10 +65,7 @@ type BlockEngine struct {
 	Block int
 }
 
-var (
-	_ Engine        = BlockEngine{}
-	_ IntoSimulator = BlockEngine{}
-)
+var _ Engine = BlockEngine{}
 
 const (
 	// colChunk is the uniforms fetched on the column's first bulk RNG
@@ -196,6 +195,19 @@ type blockDefect struct {
 	resolved bool
 }
 
+// opInterval is one failure episode of a slot: the drive fails at Fail and
+// the replacement is fully restored at RestoreEnd.
+type opInterval struct {
+	Fail, RestoreEnd float64
+}
+
+// slotFailure is one operational failure tagged with its slot, for the
+// merged group-wide sweep.
+type slotFailure struct {
+	slot int
+	op   opInterval
+}
+
 // blockChronology is a slot's timeline in the block engine's lazy form.
 // scan is the sweep's dead-prefix cursor: defects below it were found dead
 // at an earlier (hence smaller, the sweep ascends) query time, and
@@ -213,7 +225,7 @@ type blockChronology struct {
 type blockScratch struct {
 	kern   cfgKernels
 	chrons []blockChronology
-	fails  []intervalFailure
+	fails  []slotFailure
 	col    drawCol
 	// hm[s] = H_s(Mission), the base cumulative mission hazard of slot s's
 	// operational-failure distribution — the gen-1 lazy-skip threshold and
@@ -242,20 +254,9 @@ type blockScratch struct {
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // prep compiles cfg into the scratch and precomputes the acceleration
-// state. cfg must already be validated. On error the scratch is left
-// released.
-func (sc *blockScratch) prep(cfg *Config) error {
-	if cfg.Spares != nil {
-		return errUnsupported("block", "a finite spare pool")
-	}
-	if cfg.Topology.Coupled() {
-		return errUnsupported("block", "a coupled component topology")
-	}
+// state. cfg must already be validated and accepted by EngineSupports.
+func (sc *blockScratch) prep(cfg *Config) {
 	sc.kern.compile(cfg)
-	if err := sc.checkCompiled(cfg); err != nil {
-		sc.kern.release()
-		return err
-	}
 	sc.latent = cfg.Trans.latentEnabled()
 	sc.hasScrub = cfg.Trans.TTScrub != nil
 
@@ -288,7 +289,6 @@ func (sc *blockScratch) prep(cfg *Config) error {
 	if sc.cond {
 		sc.prepCond(cfg)
 	}
-	return nil
 }
 
 // prepCond assembles the analytic.CondDDF model for the conditional-DDF
@@ -351,44 +351,6 @@ func (sc *blockScratch) prepCond(cfg *Config) {
 	sc.ez = model.EZ()
 }
 
-// checkCompiled verifies every configured distribution compiled to a
-// specialized kernel; the block engine's exp-domain transforms have no
-// generic fallback.
-func (sc *blockScratch) checkCompiled(cfg *Config) error {
-	reject := func(what string) error {
-		return fmt.Errorf("sim: the block engine requires compiled (Weibull or Exponential) kernels, but %s does not compile; use IntervalEngine or EventEngine", what)
-	}
-	if sc.kern.biasOp {
-		for i := range sc.kern.ttopTilt {
-			if !sc.kern.ttopTilt[i].Compiled() {
-				return reject(fmt.Sprintf("slot %d's TTOp distribution", i))
-			}
-		}
-	} else {
-		for i := range sc.kern.ttop {
-			if !sc.kern.ttop[i].Compiled() {
-				return reject(fmt.Sprintf("slot %d's TTOp distribution", i))
-			}
-		}
-	}
-	if !sc.kern.ttr.Compiled() {
-		return reject("the TTR distribution")
-	}
-	if cfg.Trans.TTLd != nil {
-		if sc.kern.biasLd {
-			if !sc.kern.ttldTilt.Compiled() {
-				return reject("the TTLd distribution")
-			}
-		} else if !sc.kern.ttld.Compiled() {
-			return reject("the TTLd distribution")
-		}
-	}
-	if cfg.Trans.TTScrub != nil && !sc.kern.scrub.Compiled() {
-		return reject("the TTScrub distribution")
-	}
-	return nil
-}
-
 // release drops configuration references so the pooled scratch does not
 // pin a caller's state, keeping backing arrays warm.
 func (sc *blockScratch) release() {
@@ -400,25 +362,18 @@ func (sc *blockScratch) release() {
 	sc.condKern = sc.condKern[:0]
 }
 
-// Simulate implements Engine, discarding the importance-sampling weight.
-func (e BlockEngine) Simulate(cfg Config, r *rng.RNG) ([]DDF, error) {
-	out, _, err := e.SimulateInto(cfg, r, nil)
-	return out, err
-}
-
-// SimulateInto implements IntoSimulator: one chronology from r's stream,
-// bit-identical to IntervalEngine.SimulateInto — same DDFs, same logW. The
-// draw column prefetches, so r ends up advanced past the consumed draws;
-// reseed per iteration (as every runner does) rather than chaining draws.
+// SimulateInto implements Engine: one chronology from r's stream. The draw
+// column prefetches, so r ends up advanced past the consumed draws; reseed
+// per iteration (as every runner does) rather than chaining draws.
 func (e BlockEngine) SimulateInto(cfg Config, r *rng.RNG, buf []DDF) ([]DDF, float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return buf, 0, err
 	}
-	sc := blockScratchPool.Get().(*blockScratch)
-	if err := sc.prep(&cfg); err != nil {
-		blockScratchPool.Put(sc)
+	if err := EngineSupports(e, cfg); err != nil {
 		return buf, 0, err
 	}
+	sc := blockScratchPool.Get().(*blockScratch)
+	sc.prep(&cfg)
 	sc.col.reset(r, 0, 0)
 	buf, logW, _ := sc.simulateGroup(&cfg, buf)
 	sc.release()
@@ -453,17 +408,15 @@ func (sc *blockScratch) simulateGroup(cfg *Config, buf []DDF) ([]DDF, float64, f
 		z = sc.condZ()
 	}
 
-	// Merge every operational failure, tagged with its slot — the same
-	// slot-major append order and comparator as the interval engine, so the
-	// sort permutes ties identically.
+	// Merge every operational failure, tagged with its slot.
 	fails := sc.fails[:0]
 	for slot := range chrons {
 		for _, op := range chrons[slot].ops {
-			fails = append(fails, intervalFailure{slot: slot, op: op})
+			fails = append(fails, slotFailure{slot: slot, op: op})
 		}
 	}
 	sc.fails = fails
-	slices.SortFunc(fails, func(a, b intervalFailure) int {
+	slices.SortFunc(fails, func(a, b slotFailure) int {
 		switch {
 		case a.op.Fail < b.op.Fail:
 			return -1
@@ -498,8 +451,8 @@ func (sc *blockScratch) simulateGroup(cfg *Config, buf []DDF) ([]DDF, float64, f
 			// stop at the first start past t (nothing later covers t) or
 			// past the best candidate (nothing later beats it), and the
 			// first live defect found is the slot's min-start live one —
-			// the same winner, under the same strict-< tie rule, as the
-			// interval engine's full scan. The scan starts at the
+			// the same winner, under the same strict-< tie rule, as a full
+			// scan over every defect. The scan starts at the
 			// dead-prefix cursor (failures sweep in ascending t and
 			// liveness is monotone, so a leading dead defect stays dead)
 			// and advances it over newly dead leading defects.
@@ -529,8 +482,8 @@ func (sc *blockScratch) simulateGroup(cfg *Config, buf []DDF) ([]DDF, float64, f
 			suppressUntil = f.op.RestoreEnd
 			// The defective drive is repaired with the failed one: lower
 			// the lazy end bound to the concomitant restore, which makes
-			// the effective end min(natural, cap, restore) — exactly the
-			// interval engine's truncation.
+			// the effective end min(natural, cap, restore): the defect ends
+			// at the concomitant restore rather than its natural scrub.
 			if f.op.RestoreEnd < defect.cap {
 				defect.cap = f.op.RestoreEnd
 			}
@@ -598,10 +551,10 @@ func (sc *blockScratch) condZ() float64 {
 	return z
 }
 
-// blockOpFailedAt is opFailedAt without the binary search: block
-// chronologies hold a handful of episodes, so a linear scan with an early
-// break beats sort.Search's closure indirection. Episodes are ascending in
-// Fail, making the predicates equivalent.
+// blockOpFailedAt reports whether the slot is inside a failure episode at
+// t. Episodes are chronological and non-overlapping by construction, and
+// a chronology holds a handful of them, so a linear scan with an early
+// break beats a binary search.
 func blockOpFailedAt(ops []opInterval, t float64) bool {
 	for i := range ops {
 		if ops[i].Fail > t {
@@ -614,10 +567,19 @@ func blockOpFailedAt(ops []opInterval, t float64) bool {
 	return false
 }
 
-// buildSlot lays out one slot's episodes and defects from the column,
-// draw-for-draw identical to buildSlotChronology, with the gen-1 lazy skip
-// applied. Returns the slot's log weight and whether its first-generation
+// buildSlot lays out one slot's alternating up/down episodes and its
+// defect intervals from the column, with the gen-1 lazy skip applied:
+// drive generation g runs from its installation (the previous drive's
+// failure time) to its own failure; defects arrive by renewal within that
+// window and end at scrub completion or the drive's own failure, whichever
+// is first. Returns the slot's log weight and whether its first-generation
 // drive failed within the mission.
+//
+// Under bias this engine censors defect chains at the generation window
+// while the event engine censors them at the mission, so per-iteration
+// weights differ between the engines even on the same stream; both
+// weightings are valid for their own chronology construction and the
+// weighted estimates agree statistically.
 func (sc *blockScratch) buildSlot(cfg *Config, slot int, ch *blockChronology) (logW float64, z bool) {
 	genStart := 0.0 // installation time of the current drive
 	upFrom := 0.0   // operational-clock start of the current drive
@@ -679,8 +641,10 @@ func (sc *blockScratch) drawTTOp(cfg *Config, slot int, upFrom float64, gen1 boo
 }
 
 // appendDefects renewal-samples defect arrivals on [genStart, windowEnd)
-// from the column, mirroring the interval engine's appendDefects draw for
-// draw; scrub completions stay in the exponential domain.
+// from the column, their lifetimes truncated at driveFail (the drive's own
+// failure clears its defects); biased arrivals are censored at windowEnd,
+// the boundary past which the chain stops. Scrub completions stay in the
+// exponential domain.
 func (sc *blockScratch) appendDefects(cfg *Config, ch *blockChronology, genStart, windowEnd, driveFail float64) float64 {
 	logW := 0.0
 	t := genStart
@@ -754,7 +718,7 @@ func (sc *blockScratch) nextDefect(cfg *Config, from, horizon float64) (float64,
 // -log(u) (rng.ExpFloat64's exact value, memoized in ue); each query then
 // tests liveness with the banded dist.CompareExp against the elapsed
 // time, falling back to the exact quantile — the same start + FromExp(e)
-// the interval engine computes eagerly — only inside the guard band, and
+// an eager construction computes — only inside the guard band, and
 // memoizing it. Defects never queried pay neither transform.
 //
 // Liveness is monotone: once false for some t it is false for every

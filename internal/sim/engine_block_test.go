@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -13,8 +16,9 @@ import (
 // the paper's base case (general-β TTOp with the lazy gen-1 skip, lazy
 // β = 3 scrub ends), exponential transitions with frequent events (heavy
 // sweep/suppression/concomitant-repair traffic), latent defects without
-// scrub, per-slot overrides, the NHPP defect process, and the θ-tilted
-// variants with their censored-weight bookkeeping.
+// scrub, per-slot overrides, the NHPP defect process, an explicitly flat
+// topology, and the θ-tilted variants with their censored-weight
+// bookkeeping.
 func blockIdentityConfigs() map[string]Config {
 	fastLatent := fastConfig()
 	fastLatent.Trans.TTLd = dist.MustExponential(1e-4)
@@ -33,6 +37,15 @@ func blockIdentityConfigs() map[string]Config {
 	nhpp.Trans.TTLdRateMax = 1.5e-4
 	nhpp.Trans.TTScrub = dist.MustExponential(1e-2)
 
+	flat := fastConfig()
+	flat.Trans.TTLd = dist.MustExponential(5e-4)
+	flat.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
+	flat.Mission = 30000
+	flat.Topology = &Topology{}
+
+	flatBiased := flat
+	flatBiased.Bias = Bias{Op: 4}
+
 	biased := paperBaseConfig()
 	biased.Bias.Op = 8
 
@@ -41,84 +54,187 @@ func blockIdentityConfigs() map[string]Config {
 	biasedBoth.Bias.Ld = 3
 
 	return map[string]Config{
-		"paper base case": paperBaseConfig(),
-		"fast latent":     fastLatent,
-		"no scrub":        noScrub,
-		"mixed vintage":   mixed,
-		"nhpp":            nhpp,
-		"biased op":       biased,
-		"biased op+ld":    biasedBoth,
+		"paper base case":      paperBaseConfig(),
+		"fast latent":          fastLatent,
+		"no scrub":             noScrub,
+		"mixed vintage":        mixed,
+		"nhpp":                 nhpp,
+		"flat topology":        flat,
+		"flat topology biased": flatBiased,
+		"biased op":            biased,
+		"biased op+ld":         biasedBoth,
 	}
 }
 
+// The seed grid the frozen digests cover: streams [0, identityStreams) of
+// identitySeed.
+const (
+	identitySeed    = 42
+	identityStreams = 2000
+)
+
+// frozenBlockDigests pins the block engine's output on the seed grid:
+// the seedGridDigest and total event count of each blockIdentityConfigs
+// entry. They were captured while the eager per-slot interval engine (the
+// direct transcription of the paper's Fig. 5 construction) still shipped
+// beside the block engine and both produced these exact values, so they
+// carry that bit-identity forward.
+var frozenBlockDigests = map[string]struct {
+	digest string
+	events int
+}{
+	"paper base case":      {"ecc2590a6663b86c", 286},
+	"fast latent":          {"d5b9bcc6ee8b6ecc", 16687},
+	"no scrub":             {"63a01663c186efe2", 97907},
+	"mixed vintage":        {"d3d521592c32f778", 493},
+	"nhpp":                 {"e81027a5b07b3000", 16604},
+	"flat topology":        {"a59ea1e9b88dabf2", 19938},
+	"flat topology biased": {"ff647eaebccdfd8e", 78391},
+	"biased op":            {"29e4eb5d82b5cc7d", 2049},
+	"biased op+ld":         {"fddfb13833ea7898", 2877},
+}
+
+// seedGridDigest folds e's output on every stream of the seed grid — the
+// event count, each DDF's time bits and cause, and the log weight's bits —
+// into one FNV-64a digest, and returns it with the total event count.
+func seedGridDigest(t *testing.T, e Engine, cfg Config) (string, int) {
+	t.Helper()
+	h := fnv.New64a()
+	var (
+		r   rng.RNG
+		buf []DDF
+		b   [8]byte
+	)
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	events := 0
+	for stream := uint64(0); stream < identityStreams; stream++ {
+		r.SeedStream(identitySeed, stream)
+		var lw float64
+		var err error
+		buf, lw, err = e.SimulateInto(cfg, &r, buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(uint64(len(buf)))
+		for _, d := range buf {
+			put(math.Float64bits(d.Time))
+			put(uint64(d.Cause))
+		}
+		put(math.Float64bits(lw))
+		events += len(buf)
+	}
+	return fmt.Sprintf("%016x", h.Sum64()), events
+}
+
 // TestBlockEngineBitIdentity is the block engine's core contract: on the
-// same RNG stream it must reproduce the interval engine's output exactly —
-// every DDF time and cause and the log weight, bit for bit — across a seed
-// grid, for both plain and θ-tilted sampling. This is what lets campaigns
-// switch engines (or resume a scalar checkpoint under the block engine)
-// without perturbing a single result.
+// seed grid it must reproduce the frozen chronologies exactly — every DDF
+// time and cause and the log weight, bit for bit — for plain and θ-tilted
+// sampling. This is what lets a campaign resume a checkpoint written by an
+// earlier build under the same fingerprint without perturbing a single
+// result.
 func TestBlockEngineBitIdentity(t *testing.T) {
 	for name, cfg := range blockIdentityConfigs() {
 		t.Run(name, func(t *testing.T) {
-			var ra, rb rng.RNG
-			var bufA, bufB []DDF
-			events := 0
-			for stream := uint64(0); stream < 2000; stream++ {
-				ra.SeedStream(42, stream)
-				rb.SeedStream(42, stream)
-				var lwA, lwB float64
-				var err error
-				bufA, lwA, err = IntervalEngine{}.SimulateInto(cfg, &ra, bufA[:0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				bufB, lwB, err = BlockEngine{}.SimulateInto(cfg, &rb, bufB[:0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(bufA) != len(bufB) {
-					t.Fatalf("stream %d: interval %d events, block %d events", stream, len(bufA), len(bufB))
-				}
-				for i := range bufA {
-					if math.Float64bits(bufA[i].Time) != math.Float64bits(bufB[i].Time) || bufA[i].Cause != bufB[i].Cause {
-						t.Fatalf("stream %d event %d: interval %+v, block %+v", stream, i, bufA[i], bufB[i])
-					}
-				}
-				if math.Float64bits(lwA) != math.Float64bits(lwB) {
-					t.Fatalf("stream %d: interval logW %v, block logW %v", stream, lwA, lwB)
-				}
-				events += len(bufA)
+			want, ok := frozenBlockDigests[name]
+			if !ok {
+				t.Fatalf("no frozen digest for %q", name)
 			}
-			if events == 0 && name != "paper base case" && name != "biased op" && name != "biased op+ld" && name != "mixed vintage" {
-				t.Errorf("no events in 2000 streams; identity test is vacuous")
+			digest, events := seedGridDigest(t, BlockEngine{}, cfg)
+			if digest != want.digest || events != want.events {
+				t.Fatalf("seed grid digest %s (%d events), frozen %s (%d events)", digest, events, want.digest, want.events)
+			}
+		})
+	}
+}
+
+// TestBlockEngineMatchesEventStatistically is the cross-engine contract on
+// the same seed grid: the block engine's sequential-sort timeline and the
+// event engine's merged event queue consume the streams differently, so
+// their chronologies differ stream by stream, but the (weighted) DDF count
+// per group must agree within sampling error — the paper's §6 ablation.
+// The two estimates are treated as independent, which is conservative
+// when sharing streams correlates them positively.
+//
+// One grid entry is a known divergence, not sampling error. After an LdOp
+// DDF the event engine clears every pre-existing defect of the defective
+// drive at the concomitant restore; the block engine clears only the
+// defect that caused the DDF. The difference shows only where an
+// unscrubbed drive commonly carries several defects while the group fails
+// faster than defects re-accumulate: on "no scrub" the block engine counts
+// about 8% more DDFs per group. On the paper's parameters, scrubbed or
+// not, the engines agree.
+func TestBlockEngineMatchesEventStatistically(t *testing.T) {
+	for name, cfg := range blockIdentityConfigs() {
+		t.Run(name, func(t *testing.T) {
+			if name == "no scrub" {
+				t.Skip("known divergence of the LdOp concomitant-repair rule; see the test comment")
+			}
+			mean := func(e Engine) (m, v float64) {
+				var r rng.RNG
+				var buf []DDF
+				var sum, sum2 float64
+				for stream := uint64(0); stream < identityStreams; stream++ {
+					r.SeedStream(identitySeed, stream)
+					var lw float64
+					var err error
+					buf, lw, err = e.SimulateInto(cfg, &r, buf[:0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					y := float64(len(buf)) * math.Exp(lw)
+					sum += y
+					sum2 += y * y
+				}
+				n := float64(identityStreams)
+				m = sum / n
+				return m, (sum2/n - m*m) / n
+			}
+			mb, vb := mean(BlockEngine{})
+			me, ve := mean(EventEngine{})
+			if mb == 0 || me == 0 {
+				t.Fatal("no events on the seed grid; comparison is vacuous")
+			}
+			if z := math.Abs(mb-me) / math.Sqrt(vb+ve); z > 4.5 {
+				t.Errorf("block %.5g vs event %.5g DDFs per group: z = %.2f", mb, me, z)
 			}
 		})
 	}
 }
 
 // TestBlockRunnerMatchesScalar: the runner's batched block path must
-// observe exactly the scalar path's stream — same groups, same events,
-// same weights — including with unaligned offsets (clipped edge blocks)
-// and multiple workers.
+// observe exactly the per-stream SimulateInto sequence — same groups, same
+// events, same weights — including with unaligned offsets (clipped edge
+// blocks) and multiple workers.
 func TestBlockRunnerMatchesScalar(t *testing.T) {
 	for name, cfg := range blockIdentityConfigs() {
 		t.Run(name, func(t *testing.T) {
-			want, err := RunSparse(RunSpec{Config: cfg, Iterations: 500, Seed: 99, Engine: IntervalEngine{}, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
+			const n = 500
+			want := &SparseResult{}
+			var r rng.RNG
+			for i := 0; i < n; i++ {
+				r.SeedStream(99, uint64(i))
+				ddfs, lw, err := BlockEngine{}.SimulateInto(cfg, &r, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Observe(i, ddfs, lw)
 			}
 			for _, spec := range []RunSpec{
-				{Config: cfg, Iterations: 500, Seed: 99, Engine: BlockEngine{}, Workers: 1},
-				{Config: cfg, Iterations: 500, Seed: 99, Engine: BlockEngine{Block: 64}, Workers: 3},
-				{Config: cfg, Iterations: 500, Seed: 99, Engine: BlockEngine{Block: 7}, Workers: 4},
+				{Config: cfg, Iterations: n, Seed: 99, Workers: 2},
+				{Config: cfg, Iterations: n, Seed: 99, Engine: BlockEngine{}, Workers: 1},
+				{Config: cfg, Iterations: n, Seed: 99, Engine: BlockEngine{Block: 64}, Workers: 3},
+				{Config: cfg, Iterations: n, Seed: 99, Engine: BlockEngine{Block: 7}, Workers: 4},
 			} {
 				got, err := RunSparse(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Groups != want.Groups || !reflect.DeepEqual(got.Events, want.Events) {
-					t.Fatalf("Block:%d Workers:%d: block-path events differ from scalar path",
-						spec.Engine.(BlockEngine).Block, spec.Workers)
+					t.Fatalf("Engine:%#v Workers:%d: block-path events differ from per-stream SimulateInto",
+						spec.Engine, spec.Workers)
 				}
 				if got.VR != nil {
 					t.Fatal("VR tallies attached to a VR-disabled run")
@@ -127,7 +243,7 @@ func TestBlockRunnerMatchesScalar(t *testing.T) {
 
 			// Unaligned offset: [0,n) must equal [0,k) ++ [k,n) with k not a
 			// block multiple, so edge blocks clip correctly.
-			const n, k = 500, 137
+			const k = 137
 			head, err := RunSparse(RunSpec{Config: cfg, Iterations: k, Seed: 99, Engine: BlockEngine{Block: 64}})
 			if err != nil {
 				t.Fatal(err)
@@ -165,8 +281,8 @@ func TestBlockEngineRejections(t *testing.T) {
 
 	vrScalar := fastConfig()
 	vrScalar.VR.Antithetic = true
-	if _, err := RunSparse(RunSpec{Config: vrScalar, Iterations: 10, Seed: 1, Engine: IntervalEngine{}}); err == nil {
-		t.Error("VR run through a scalar engine accepted")
+	if _, err := RunSparse(RunSpec{Config: vrScalar, Iterations: 10, Seed: 1, Engine: EventEngine{}}); err == nil {
+		t.Error("VR run through the event engine accepted")
 	}
 }
 
@@ -236,6 +352,30 @@ func TestAntitheticNegativeCorrelation(t *testing.T) {
 	}
 	if cov := pairMean - mean*mean; cov >= 0 {
 		t.Fatalf("antithetic pair covariance %v is not negative (mean %v, pair mean %v)", cov, mean, pairMean)
+	}
+}
+
+// TestBlockRunnerMergesClaimedBlocksInOrder: workers claim blocks from a
+// shared counter, so with many tiny blocks over more workers than CPUs
+// they finish out of block order; the merger must still observe every
+// iteration in order, run after run.
+func TestBlockRunnerMergesClaimedBlocksInOrder(t *testing.T) {
+	spec := RunSpec{Config: paperBaseConfig(), Iterations: 2000, Seed: 5, Engine: BlockEngine{Block: 3}, Workers: 6}
+	want, err := RunSparse(RunSpec{Config: spec.Config, Iterations: spec.Iterations, Seed: spec.Seed, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.TotalDDFs == 0 {
+		t.Fatal("no DDFs in 2000 groups; the order check is vacuous")
+	}
+	for i := 0; i < 20; i++ {
+		got, err := RunSparse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Events, want.Events) {
+			t.Fatalf("run %d: claimed blocks merged out of order", i)
+		}
 	}
 }
 

@@ -8,14 +8,12 @@ import (
 )
 
 // EventEngine simulates a RAID-group chronology with a discrete-event
-// queue. It is the reference implementation of the DDF semantics; the
-// IntervalEngine cross-validates it.
+// queue. It is the full-feature reference implementation of the DDF
+// semantics — finite spares, coupled topologies, any distribution, and
+// tracing — and the BlockEngine cross-validates it statistically.
 type EventEngine struct{}
 
-var (
-	_ Engine        = EventEngine{}
-	_ IntoSimulator = EventEngine{}
-)
+var _ Engine = EventEngine{}
 
 // defectRec is one latent defect on a drive, in creation order. The
 // untraced engine never queues the defect's scrub-correction event:
@@ -92,13 +90,7 @@ type eventSim struct {
 // concurrent workers each converge on their own warmed-up state.
 var eventSimPool = sync.Pool{New: func() any { return new(eventSim) }}
 
-// Simulate implements Engine, discarding the importance-sampling weight.
-func (e EventEngine) Simulate(cfg Config, r *rng.RNG) ([]DDF, error) {
-	out, _, err := e.SimulateInto(cfg, r, nil)
-	return out, err
-}
-
-// SimulateInto implements IntoSimulator: it runs one chronology appending
+// SimulateInto implements Engine: it runs one chronology appending
 // the DDFs to buf (which may be nil) and returns the extended slice plus
 // the iteration's log likelihood-ratio weight. The engine's internal
 // scratch — event queue, slot state, defect lists — is pooled and reused,

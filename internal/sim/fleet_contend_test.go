@@ -236,7 +236,7 @@ func TestScriptedDefectAtRedundancyNoDDF(t *testing.T) {
 			},
 		}
 	}
-	engineDDFs, err := (EventEngine{}).Simulate(script(), rng.New(1))
+	engineDDFs, err := simulate(EventEngine{}, script(), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestScriptedDefectAtRedundancyNoDDF(t *testing.T) {
 			},
 		}
 	}
-	engineDDFs, err = (EventEngine{}).Simulate(live(), rng.New(1))
+	engineDDFs, err = simulate(EventEngine{}, live(), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

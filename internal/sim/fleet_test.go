@@ -98,7 +98,7 @@ func TestFleetMatchesEngineBitIdentical(t *testing.T) {
 				base := uint64(c * groups)
 				fleet, _ := simulateFleetSeeded(t, FleetConfig{Groups: groups, Group: cfg}, seed, base)
 				for g := 0; g < groups; g++ {
-					single, err := (EventEngine{}).Simulate(cfg, rng.ForStream(seed, base+uint64(g)))
+					single, err := simulate(EventEngine{}, cfg, rng.ForStream(seed, base+uint64(g)))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,12 +1,19 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"raidrel/internal/dist"
 	"raidrel/internal/rng"
 )
+
+// opaqueDist hides a distribution's concrete type, so it compiles to a
+// generic kernel (the shape of any user-supplied distribution) while
+// sampling exactly like the wrapped one — and, unlike the scripted test
+// distributions, is safe to sample from concurrent workers.
+type opaqueDist struct{ dist.Distribution }
 
 // The full feature × engine support matrix, enforced uniformly: every
 // inexpressible combination is rejected — by EngineSupports, by the
@@ -28,6 +35,7 @@ func TestEngineFeatureMatrix(t *testing.T) {
 		{"bias", func(c *Config) { c.Bias = Bias{Op: 4} }},
 		{"spares", func(c *Config) { c.Spares = &SparePolicy{Initial: 1, ReplenishHours: 24} }},
 		{"topology", func(c *Config) { c.Topology = topo() }},
+		{"uncompiled", func(c *Config) { c.Trans.TTR = opaqueDist{c.Trans.TTR} }},
 		{"vr", func(c *Config) { c.VR = VR{Antithetic: true} }},
 		{"bias+topology", func(c *Config) { c.Bias = Bias{Op: 4}; c.Topology = topo() }},
 	}
@@ -35,23 +43,21 @@ func TestEngineFeatureMatrix(t *testing.T) {
 		name string
 		e    Engine
 	}{
-		{"event", nil}, // nil defaults to EventEngine
-		{"event-explicit", EventEngine{}},
-		{"interval", IntervalEngine{}},
+		{"default", nil}, // nil resolves through DefaultEngine
+		{"event", EventEngine{}},
 		{"block", BlockEngine{}},
 	}
 	// want[feature][engine] is the required error substring; "" means the
-	// combination must be accepted.
+	// combination must be accepted. The default column accepts everything
+	// some engine can run.
 	want := map[string]map[string]string{
-		"plain":    {"event": "", "event-explicit": "", "interval": "", "block": ""},
-		"bias":     {"event": "", "event-explicit": "", "interval": "", "block": ""},
-		"spares":   {"event": "", "event-explicit": "", "interval": "finite spare pool", "block": "finite spare pool"},
-		"topology": {"event": "", "event-explicit": "", "interval": "coupled component topology", "block": "coupled component topology"},
-		"vr": {
-			"event": "variance reduction requires the block engine", "event-explicit": "variance reduction requires the block engine",
-			"interval": "variance reduction requires the block engine", "block": "",
-		},
-		"bias+topology": {"event": "", "event-explicit": "", "interval": "coupled component topology", "block": "coupled component topology"},
+		"plain":         {"default": "", "event": "", "block": ""},
+		"bias":          {"default": "", "event": "", "block": ""},
+		"spares":        {"default": "", "event": "", "block": "finite spare pool"},
+		"topology":      {"default": "", "event": "", "block": "coupled component topology"},
+		"uncompiled":    {"default": "", "event": "", "block": "does not compile"},
+		"vr":            {"default": "", "event": "variance reduction requires the block engine", "block": ""},
+		"bias+topology": {"default": "", "event": "", "block": "coupled component topology"},
 	}
 
 	for _, f := range features {
@@ -77,22 +83,16 @@ func TestEngineFeatureMatrix(t *testing.T) {
 				}
 			}
 
-			// The engines' own SimulateInto entry points agree with the
-			// gate for their per-slot rows (VR is a runner-level scheme the
+			// The block engine's own SimulateInto agrees with the gate for
+			// its rows (VR is a runner-level scheme the
 			// engines never see, so it is exempt here).
 			if f.name == "vr" {
 				continue
 			}
-			var into IntoSimulator
-			switch e.e.(type) {
-			case IntervalEngine:
-				into = IntervalEngine{}
-			case BlockEngine:
-				into = BlockEngine{}
-			default:
+			if _, ok := e.e.(BlockEngine); !ok {
 				continue
 			}
-			_, _, err := into.SimulateInto(cfg, rng.New(7), nil)
+			_, _, err := BlockEngine{}.SimulateInto(cfg, rng.New(7), nil)
 			if wantSub == "" {
 				if err != nil {
 					t.Errorf("%s × %s: SimulateInto rejected expressible combination: %v", f.name, e.name, err)
@@ -110,5 +110,89 @@ func TestEngineFeatureMatrix(t *testing.T) {
 	cfg.Topology = topo()
 	if err := cfg.Validate(); err == nil {
 		t.Error("spares+topology passed Validate")
+	}
+}
+
+// TestDefaultEngineRouting pins the one routing rule: a nil engine runs on
+// the block engine whenever it can model the configuration and on the
+// event engine otherwise, in DefaultEngine and in the runner alike — and
+// an explicit engine always wins, including by refusing a configuration
+// it cannot model instead of being rerouted.
+func TestDefaultEngineRouting(t *testing.T) {
+	base := func() Config {
+		cfg := fastConfig()
+		cfg.Mission = 30000
+		return cfg
+	}
+	cases := []struct {
+		name  string
+		mut   func(*Config)
+		block bool // the block engine is the default
+	}{
+		{"plain", func(c *Config) {}, true},
+		{"scrubbed", func(c *Config) {
+			c.Trans.TTLd = dist.MustExponential(5e-4)
+			c.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
+		}, true},
+		{"nhpp", func(c *Config) {
+			c.Trans.TTLdRate = func(float64) float64 { return 5e-4 }
+			c.Trans.TTLdRateMax = 5e-4
+		}, true},
+		{"biased", func(c *Config) { c.Bias = Bias{Op: 4} }, true},
+		{"vr", func(c *Config) { c.VR = VR{Antithetic: true, BlockSize: 64} }, true},
+		{"flat topology", func(c *Config) { c.Topology = &Topology{} }, true},
+		{"coupled topology", func(c *Config) {
+			c.Topology = &Topology{Components: []Component{{
+				Name: "enc", Drives: []int{0, 1},
+				TTOp: dist.MustExponential(1e-4), TTR: dist.MustExponential(1e-2),
+			}}}
+		}, false},
+		{"finite spares", func(c *Config) { c.Spares = &SparePolicy{Initial: 1, ReplenishHours: 24} }, false},
+		{"uncompiled distribution", func(c *Config) { c.Trans.TTR = opaqueDist{c.Trans.TTR} }, false},
+	}
+	run := func(cfg Config, e Engine) (*SparseResult, error) {
+		return RunSparse(RunSpec{Config: cfg, Iterations: 256, Seed: 5, Workers: 2, Engine: e})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base()
+			tc.mut(&cfg)
+			var named, other Engine = EventEngine{}, BlockEngine{}
+			if tc.block {
+				named, other = other, named
+			}
+			if got := DefaultEngine(cfg); got != named {
+				t.Fatalf("DefaultEngine = %T, want %T", got, named)
+			}
+			def, err := run(cfg, nil)
+			if err != nil {
+				t.Fatalf("default run: %v", err)
+			}
+			want, err := run(cfg, named)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if def.TotalDDFs == 0 {
+				t.Fatal("no events; routing comparison is vacuous")
+			}
+			if !reflect.DeepEqual(def.Events, want.Events) {
+				t.Fatalf("default run differs from the explicit %T run", named)
+			}
+
+			// The explicit other engine runs as asked, or refuses.
+			explicit, err := run(cfg, other)
+			if EngineSupports(other, cfg) != nil {
+				if err == nil {
+					t.Fatalf("explicit %T accepted a configuration it cannot model", other)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reflect.DeepEqual(explicit.Events, def.Events) {
+				t.Fatalf("explicit %T produced the default engine's chronologies", other)
+			}
+		})
 	}
 }

@@ -10,12 +10,12 @@ import (
 // cfgKernels is a Config's transition distributions compiled to sampler
 // kernels (dist.Compile): per-draw constants precomputed, dispatch
 // devirtualized, and — under bias — the θ-tilt fused with the
-// likelihood-ratio bookkeeping. Both engines compile the configuration
-// into their pooled scratch at the top of every run; compilation is a
+// likelihood-ratio bookkeeping. Every engine compiles the configuration
+// into its pooled scratch at the top of every run; compilation is a
 // handful of type switches (no allocation once the per-slot slices have
 // warmed up), which is noise next to one group chronology, and keeping it
-// inside the engines means the public Engine/IntoSimulator contracts and
-// every caller stay unchanged.
+// inside the engines means the public Engine contract and every caller
+// stay unchanged.
 //
 // Kernel draws are bit-identical to the interface draws they replace
 // (dist.Kernel's contract), so engines may mix kernel and interface paths

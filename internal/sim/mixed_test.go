@@ -34,7 +34,7 @@ func TestSlotOverridesEquivalentToShared(t *testing.T) {
 	count := func(cfg Config) int {
 		total := 0
 		for i := 0; i < 2000; i++ {
-			ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(77, uint64(i)))
+			ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(77, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestMixedVintageBracketing(t *testing.T) {
 		}
 		total := 0
 		for i := 0; i < 3000; i++ {
-			ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(88, uint64(i)))
+			ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(88, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestMixedVintageEnginesAgree(t *testing.T) {
 	count := func(e Engine, seed uint64) int {
 		total := 0
 		for i := 0; i < 4000; i++ {
-			ddfs, err := e.Simulate(cfg, rng.ForStream(seed, uint64(i)))
+			ddfs, err := simulate(e, cfg, rng.ForStream(seed, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestMixedVintageEnginesAgree(t *testing.T) {
 		return total
 	}
 	a := count(EventEngine{}, 90)
-	b := count(IntervalEngine{}, 91)
+	b := count(BlockEngine{}, 91)
 	if a == 0 || b == 0 {
 		t.Fatal("no DDFs; config too mild")
 	}

@@ -44,8 +44,8 @@ func propertyConfig(drives uint8, opMean, ttrMean, ldMean, scrubMean float64, sc
 func TestPropertyEngineInvariants(t *testing.T) {
 	check := func(drives uint8, opMean, ttrMean, ldMean, scrubMean float64, scrubOn bool, seed uint64) bool {
 		cfg := propertyConfig(drives, opMean, ttrMean, ldMean, scrubMean, scrubOn)
-		for _, engine := range []Engine{EventEngine{}, IntervalEngine{}} {
-			ddfs, err := engine.Simulate(cfg, rng.ForStream(seed, 0))
+		for _, engine := range []Engine{EventEngine{}, BlockEngine{}} {
+			ddfs, err := simulate(engine, cfg, rng.ForStream(seed, 0))
 			if err != nil {
 				return false
 			}
@@ -91,8 +91,8 @@ func TestPropertyDDFsRespectRestoreFloor(t *testing.T) {
 				TTLd: dist.MustExponential(1e-3),
 			},
 		}
-		for _, engine := range []Engine{EventEngine{}, IntervalEngine{}} {
-			ddfs, err := engine.Simulate(cfg, rng.ForStream(seed, 1))
+		for _, engine := range []Engine{EventEngine{}, BlockEngine{}} {
+			ddfs, err := simulate(engine, cfg, rng.ForStream(seed, 1))
 			if err != nil {
 				return false
 			}
@@ -126,7 +126,7 @@ func TestPropertyDefectRateMonotonicity(t *testing.T) {
 		}
 		total := 0
 		for i := 0; i < 800; i++ {
-			ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(seed, uint64(i)))
+			ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(seed, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestPropertyMissionMonotonicity(t *testing.T) {
 		}
 		total := 0
 		for i := 0; i < 1500; i++ {
-			ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(55, uint64(i)))
+			ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(55, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}

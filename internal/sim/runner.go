@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"raidrel/internal/rng"
 )
@@ -20,7 +20,7 @@ type RunSpec struct {
 	Iterations int
 	Seed       uint64
 	Workers    int    // 0 = GOMAXPROCS
-	Engine     Engine // nil = EventEngine
+	Engine     Engine // nil = DefaultEngine(Config)
 
 	// Offset shifts the RNG stream assignment: iteration i of this run
 	// draws from rng.ForStream(Seed, Offset+i). Batched campaigns use it
@@ -41,108 +41,6 @@ type RunSpec struct {
 	Fleet *FleetOptions
 }
 
-// RunResult aggregates a campaign.
-type RunResult struct {
-	// PerGroup holds each simulated group's DDF events in chronological
-	// order; len(PerGroup) == Iterations.
-	PerGroup [][]DDF
-	// TotalDDFs is the total data-loss event count across groups;
-	// unavailability onsets are counted in UnavailEvents instead.
-	TotalDDFs int
-	// OpOpDDFs and LdOpDDFs split the total by cause.
-	OpOpDDFs, LdOpDDFs int
-	// UnavailEvents counts data-unavailability onsets (coupled topologies
-	// only; always 0 for flat runs).
-	UnavailEvents int
-
-	// flatTimes caches the sorted flat event-time slice behind DDFsBefore;
-	// built lazily so manually assembled results work too.
-	flatOnce  sync.Once
-	flatTimes []float64
-}
-
-// EventTimes flattens the per-group DDF times into per-system event lists
-// suitable for stats.MCF.
-func (r *RunResult) EventTimes() [][]float64 {
-	out := make([][]float64, len(r.PerGroup))
-	for i, g := range r.PerGroup {
-		ts := make([]float64, len(g))
-		for j, d := range g {
-			ts[j] = d.Time
-		}
-		out[i] = ts
-	}
-	return out
-}
-
-// flat returns the sorted slice of all event times across groups, built
-// once. PerGroup must not be mutated after the first DDFsBefore call.
-func (r *RunResult) flat() []float64 {
-	r.flatOnce.Do(func() {
-		n := 0
-		for _, g := range r.PerGroup {
-			n += len(g)
-		}
-		ts := make([]float64, 0, n)
-		for _, g := range r.PerGroup {
-			for _, d := range g {
-				if d.Cause == CauseUnavail {
-					continue
-				}
-				ts = append(ts, d.Time)
-			}
-		}
-		sort.Float64s(ts)
-		r.flatTimes = ts
-	})
-	return r.flatTimes
-}
-
-// DDFsBefore counts events at or before t across all groups. The first
-// call sorts a flat event-time slice; subsequent calls are a binary
-// search, so rendering a cumulative curve is O((E + P) log E) for E events
-// and P query points instead of O(P·E) group scans.
-func (r *RunResult) DDFsBefore(t float64) int {
-	ts := r.flat()
-	// First index with ts[i] > t == count of events at or before t.
-	return sort.Search(len(ts), func(i int) bool { return ts[i] > t })
-}
-
-// Tally recomputes the aggregate counts from PerGroup — for results
-// assembled by hand, e.g. restored from a campaign checkpoint.
-func (r *RunResult) Tally() {
-	r.TotalDDFs, r.OpOpDDFs, r.LdOpDDFs, r.UnavailEvents = 0, 0, 0, 0
-	for _, g := range r.PerGroup {
-		for _, d := range g {
-			if d.Cause == CauseUnavail {
-				r.UnavailEvents++
-				continue
-			}
-			r.TotalDDFs++
-			switch d.Cause {
-			case CauseOpOp:
-				r.OpOpDDFs++
-			case CauseLdOp:
-				r.LdOpDDFs++
-			}
-		}
-	}
-}
-
-// Merge appends another result's groups to r and retallies the counts.
-// Batched campaigns use it to accumulate: merging the results of runs
-// [0,k) and [k,n) (the latter with Offset k) yields exactly the result of
-// a single n-iteration run.
-func (r *RunResult) Merge(other *RunResult) {
-	r.PerGroup = append(r.PerGroup, other.PerGroup...)
-	r.TotalDDFs += other.TotalDDFs
-	r.OpOpDDFs += other.OpOpDDFs
-	r.LdOpDDFs += other.LdOpDDFs
-	r.UnavailEvents += other.UnavailEvents
-	r.flatOnce = sync.Once{}
-	r.flatTimes = nil
-}
-
 // collectWindow is each worker's output-channel depth: how far ahead of
 // the in-order merge a worker may run before blocking.
 const collectWindow = 256
@@ -161,9 +59,8 @@ type handoff struct {
 // produce, bit-identical for any worker count, while peak memory stays
 // O(workers·window) instead of O(iterations).
 //
-// Each worker reuses one RNG (reseeded per stream) and, when the engine
-// implements IntoSimulator, one DDF buffer — the steady-state event-free
-// iteration allocates nothing.
+// Each worker reuses one RNG (reseeded per stream) and one DDF buffer —
+// the steady-state event-free iteration allocates nothing.
 func RunCollect(spec RunSpec, c Collector) error {
 	if err := spec.Config.Validate(); err != nil {
 		return err
@@ -189,21 +86,21 @@ func RunCollect(spec RunSpec, c Collector) error {
 	}
 	engine := spec.Engine
 	if engine == nil {
-		engine = EventEngine{}
+		engine = DefaultEngine(spec.Config)
 	}
 	// Uniform feature gating: reject combinations the chosen engine cannot
-	// express (finite spares or coupled topologies off the event engine,
-	// VR off the block engine, bias without a weight channel) before any
-	// worker starts.
+	// express (finite spares, coupled topologies or non-compiling
+	// distributions off the event engine, VR off the block engine) before
+	// any worker starts.
 	if err := EngineSupports(engine, spec.Config); err != nil {
 		return err
 	}
 	if be, ok := engine.(BlockEngine); ok {
 		// The block engine runs whole blocks per worker dispatch — and is
 		// the only engine that implements the variance-reduction schemes.
-		return runCollectBlocks(spec, be, workers, c)
+		runCollectBlocks(spec, be, workers, c)
+		return nil
 	}
-	into, hasInto := engine.(IntoSimulator)
 
 	// done releases workers blocked on a full channel when the merger
 	// aborts early on an error.
@@ -220,16 +117,12 @@ func RunCollect(spec RunSpec, c Collector) error {
 			for i := w; i < spec.Iterations; i += workers {
 				r.SeedStream(spec.Seed, uint64(spec.Offset+i))
 				var h handoff
-				if hasInto {
-					buf, h.logW, h.err = into.SimulateInto(spec.Config, &r, buf[:0])
-					if h.err == nil && len(buf) > 0 {
-						// The buffer is reused next iteration; only the rare
-						// event-bearing result is copied out.
-						h.ddfs = make([]DDF, len(buf))
-						copy(h.ddfs, buf)
-					}
-				} else {
-					h.ddfs, h.err = engine.Simulate(spec.Config, &r)
+				buf, h.logW, h.err = engine.SimulateInto(spec.Config, &r, buf[:0])
+				if h.err == nil && len(buf) > 0 {
+					// The buffer is reused next iteration; only the rare
+					// event-bearing result is copied out.
+					h.ddfs = make([]DDF, len(buf))
+					copy(h.ddfs, buf)
 				}
 				select {
 				case out <- h:
@@ -253,8 +146,9 @@ func RunCollect(spec RunSpec, c Collector) error {
 	return nil
 }
 
-// blockWindow is each block worker's output-channel depth — blocks are
-// hundreds of iterations, so a shallow window already hides merge jitter.
+// blockWindow is how many simulated blocks per worker may wait for the
+// in-order merge — blocks are hundreds of iterations, so a shallow window
+// already hides merge jitter.
 const blockWindow = 4
 
 // blockEv is one event-bearing iteration inside a handoff, sparse because
@@ -274,12 +168,12 @@ type blockEv struct {
 // nothing — even under an importance-sampling tilt where most iterations
 // bear events.
 type blockHandoff struct {
+	block int       // global block index
 	logWs []float64 // one per iteration, in iteration order
 	ev    []blockEv
 	ddfs  []DDF // flat arena the ev entries index into
 	vr    VRBlock
 	ez    float64
-	err   error
 }
 
 var blockHandoffPool = sync.Pool{New: func() any { return new(blockHandoff) }}
@@ -292,17 +186,20 @@ func (h *blockHandoff) recycle() {
 	h.ddfs = h.ddfs[:0]
 	h.vr = VRBlock{}
 	h.ez = 0
-	h.err = nil
 }
 
-// runCollectBlocks is RunCollect's batched path: worker w simulates whole
-// blocks b ≡ w (mod workers) of consecutive iterations on one scratch
-// acquisition, and the merger round-robins the blocks back into the same
-// strict per-iteration Observe order the scalar path produces. With
-// cfg.VR disabled the observed stream is bit-identical to the scalar
-// engines'; with it enabled the antithetic/stratified stream mapping is
-// applied per iteration and each block's tallies reach any VRBlockObserver.
-func runCollectBlocks(spec RunSpec, be BlockEngine, workers int, c Collector) error {
+// runCollectBlocks is RunCollect's batched path: workers claim whole
+// blocks of consecutive iterations from a shared counter, each on one
+// scratch acquisition, and the merger puts the blocks back into the same
+// strict per-iteration Observe order the scalar path produces. Claiming
+// (rather than a fixed b ≡ w (mod workers) split) keeps the run's wall
+// time steady when one worker's CPU stalls: the others take over its
+// blocks instead of idling at the end of their share. With
+// cfg.VR disabled the observed stream is bit-identical to per-stream
+// BlockEngine.SimulateInto calls; with it enabled the antithetic/stratified
+// stream mapping is applied per iteration and each block's tallies reach
+// any VRBlockObserver. spec must already be validated and gated.
+func runCollectBlocks(spec RunSpec, be BlockEngine, workers int, c Collector) {
 	cfg := spec.Config
 	vr := cfg.VR
 	// The VR configuration's block size wins (the stratum layout depends on
@@ -336,33 +233,51 @@ func runCollectBlocks(spec RunSpec, be BlockEngine, workers int, c Collector) er
 		return blo, bhi
 	}
 
+	// A worker takes a token before claiming a block and the merger returns
+	// one after merging a block, so the claimed-but-unmerged blocks stay
+	// within ring consecutive indices: out never fills, each such block owns
+	// a distinct pending slot while the merger reorders, and memory stays
+	// O(ring) whatever the iteration count.
+	ring := workers * blockWindow
+	out := make(chan *blockHandoff, ring)
+	pending := make([]*blockHandoff, ring)
+	tokens := make(chan struct{}, ring)
+	var next atomic.Int64
+	next.Store(int64(b0))
+	// done releases workers waiting for a token should the merger unwind
+	// early (a panicking collector); otherwise the merger waits for every
+	// worker to return its scratch to the pool before returning, so no
+	// work outlives the call and the next run finds the scratch warm.
 	done := make(chan struct{})
 	defer close(done)
-	chans := make([]chan *blockHandoff, workers)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		chans[w] = make(chan *blockHandoff, blockWindow)
-		go func(w int, out chan<- *blockHandoff) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			sc := blockScratchPool.Get().(*blockScratch)
 			defer func() {
 				sc.release()
 				blockScratchPool.Put(sc)
 			}()
-			prepErr := sc.prep(&cfg)
+			sc.prep(&cfg)
 			var (
 				r   rng.RNG
 				buf []DDF
 			)
-			for b := b0 + w; b <= bLast; b += workers {
-				h := blockHandoffPool.Get().(*blockHandoff)
-				h.recycle()
-				if prepErr != nil {
-					h.err = prepErr
-					select {
-					case out <- h:
-					case <-done:
-					}
+			for {
+				select {
+				case tokens <- struct{}{}:
+				case <-done:
 					return
 				}
+				b := int(next.Add(1) - 1)
+				if b > bLast {
+					return
+				}
+				h := blockHandoffPool.Get().(*blockHandoff)
+				h.recycle()
+				h.block = b
 				blo, bhi := blockRange(b)
 				h.ez = sc.ez
 				prevY := 0.0
@@ -402,21 +317,20 @@ func runCollectBlocks(spec RunSpec, be BlockEngine, workers int, c Collector) er
 						}
 					}
 				}
-				select {
-				case out <- h:
-				case <-done:
-					return
-				}
+				out <- h
 			}
-		}(w, chans[w])
+		}()
 	}
 
 	vrObs, hasVRObs := c.(VRBlockObserver)
 	for b := b0; b <= bLast; b++ {
-		h := <-chans[(b-b0)%workers]
-		if h.err != nil {
-			return h.err
+		slot := (b - b0) % ring
+		for pending[slot] == nil {
+			h := <-out
+			pending[(h.block-b0)%ring] = h
 		}
+		h := pending[slot]
+		pending[slot] = nil
 		blo, _ := blockRange(b)
 		evi := 0
 		for idx, logW := range h.logWs {
@@ -433,8 +347,9 @@ func runCollectBlocks(spec RunSpec, be BlockEngine, workers int, c Collector) er
 		}
 		h.recycle()
 		blockHandoffPool.Put(h)
+		<-tokens
 	}
-	return nil
+	wg.Wait()
 }
 
 // fleetWindow is each fleet worker's output-channel depth; chronologies
@@ -549,16 +464,4 @@ func RunSparse(spec RunSpec) (*SparseResult, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// Run executes the campaign and materializes the dense per-group
-// representation. It is a compatibility wrapper over the sparse pipeline;
-// prefer RunSparse (or RunCollect with a custom Collector) for large
-// iteration counts, where PerGroup alone costs O(iterations) memory.
-func Run(spec RunSpec) (*RunResult, error) {
-	sres, err := RunSparse(spec)
-	if err != nil {
-		return nil, err
-	}
-	return sres.Dense(), nil
 }

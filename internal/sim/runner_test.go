@@ -26,25 +26,27 @@ func paperBaseConfig() Config {
 // TestRunWorkerCountInvariance is the determinism guarantee the campaign
 // checkpoint design relies on: because stream i is always assigned to
 // iteration i, the per-group results are bit-for-bit identical no matter
-// how many workers execute the run.
+// how many workers execute the run. The event engine's per-iteration path
+// is pinned here; TestRunSparseWorkerCountInvariance covers the default
+// (block) path.
 func TestRunWorkerCountInvariance(t *testing.T) {
 	const iters = 400
-	base := RunSpec{Config: paperBaseConfig(), Iterations: iters, Seed: 20070625}
+	base := RunSpec{Config: paperBaseConfig(), Iterations: iters, Seed: 20070625, Engine: EventEngine{}}
 
 	one := base
 	one.Workers = 1
 	seven := base
 	seven.Workers = 7
 
-	r1, err := Run(one)
+	r1, err := RunSparse(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r7, err := Run(seven)
+	r7, err := RunSparse(seven)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1.PerGroup, r7.PerGroup) {
+	if r1.Groups != r7.Groups || !reflect.DeepEqual(r1.Events, r7.Events) {
 		t.Fatal("Workers:1 and Workers:7 produced different per-group chronologies")
 	}
 	if r1.TotalDDFs != r7.TotalDDFs || r1.OpOpDDFs != r7.OpOpDDFs || r1.LdOpDDFs != r7.LdOpDDFs {
@@ -62,23 +64,23 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 func TestRunOffsetComposition(t *testing.T) {
 	cfg := fastConfig()
 	const n, k = 300, 110
-	whole, err := Run(RunSpec{Config: cfg, Iterations: n, Seed: 7})
+	whole, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, err := Run(RunSpec{Config: cfg, Iterations: k, Seed: 7})
+	head, err := RunSparse(RunSpec{Config: cfg, Iterations: k, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := Run(RunSpec{Config: cfg, Iterations: n - k, Seed: 7, Offset: k, Workers: 3})
+	tail, err := RunSparse(RunSpec{Config: cfg, Iterations: n - k, Seed: 7, Offset: k, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	head.Merge(tail)
-	if len(head.PerGroup) != n {
-		t.Fatalf("merged %d groups, want %d", len(head.PerGroup), n)
+	if head.Groups != n {
+		t.Fatalf("merged %d groups, want %d", head.Groups, n)
 	}
-	if !reflect.DeepEqual(head.PerGroup, whole.PerGroup) {
+	if !reflect.DeepEqual(head.Events, whole.Events) {
 		t.Fatal("offset-batched run differs from single run")
 	}
 	if head.TotalDDFs != whole.TotalDDFs || head.OpOpDDFs != whole.OpOpDDFs || head.LdOpDDFs != whole.LdOpDDFs {
@@ -87,15 +89,15 @@ func TestRunOffsetComposition(t *testing.T) {
 }
 
 func TestRunNegativeOffsetRejected(t *testing.T) {
-	if _, err := Run(RunSpec{Config: fastConfig(), Iterations: 1, Offset: -1}); err == nil {
+	if _, err := RunSparse(RunSpec{Config: fastConfig(), Iterations: 1, Offset: -1}); err == nil {
 		t.Error("negative offset accepted")
 	}
 }
 
 // TestDDFsBeforeMatchesScan checks the binary-search fast path against a
-// naive per-group scan on a real run.
+// naive scan over every event of a real run.
 func TestDDFsBeforeMatchesScan(t *testing.T) {
-	res, err := Run(RunSpec{Config: fastConfig(), Iterations: 200, Seed: 3})
+	res, err := RunSparse(RunSpec{Config: fastConfig(), Iterations: 200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +106,9 @@ func TestDDFsBeforeMatchesScan(t *testing.T) {
 	}
 	scan := func(t0 float64) int {
 		n := 0
-		for _, g := range res.PerGroup {
-			for _, d := range g {
-				if d.Time <= t0 {
-					n++
-				}
+		for _, e := range res.Events {
+			if e.Time <= t0 {
+				n++
 			}
 		}
 		return n
@@ -124,13 +124,13 @@ func TestDDFsBeforeMatchesScan(t *testing.T) {
 }
 
 func TestDDFsBeforeAfterMerge(t *testing.T) {
-	a, err := Run(RunSpec{Config: fastConfig(), Iterations: 50, Seed: 9})
+	a, err := RunSparse(RunSpec{Config: fastConfig(), Iterations: 50, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Force the flat cache, then merge: the cache must be invalidated.
 	before := a.DDFsBefore(87600)
-	b, err := Run(RunSpec{Config: fastConfig(), Iterations: 50, Seed: 9, Offset: 50})
+	b, err := RunSparse(RunSpec{Config: fastConfig(), Iterations: 50, Seed: 9, Offset: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

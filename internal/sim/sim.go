@@ -15,8 +15,9 @@
 //     restore time as the concomitant operational failure.
 //
 // Two independent engines implement the same semantics — an event-queue
-// engine and a per-slot interval engine patterned on the paper's Fig. 5
-// timing diagram — and cross-validate each other in tests.
+// engine (the full-feature reference) and a batched per-slot block engine
+// patterned on the paper's Fig. 5 timing diagram (the fast path) — and
+// cross-validate each other in tests. DefaultEngine picks between them.
 package sim
 
 import (
@@ -111,7 +112,7 @@ type Config struct {
 	// Spares optionally bounds the spare-drive pool; nil means a spare is
 	// always on hand (the paper's assumption). Only the event engine
 	// supports finite spares: the pool couples the drive slots, which the
-	// per-slot interval engine cannot express.
+	// per-slot block engine cannot express.
 	Spares *SparePolicy
 	// Topology optionally couples the drive slots through shared
 	// components (enclosures, expanders, controllers): a component failure
@@ -210,28 +211,16 @@ func (c Config) ttopFor(slot int) dist.Distribution {
 	return c.Trans.TTOp
 }
 
-// Engine simulates one RAID-group chronology and returns its DDF events.
-//
-// Simulate discards the iteration's importance-sampling weight; runs with
-// cfg.Bias enabled must go through IntoSimulator (the runner enforces
-// this) so the weight reaches the estimator.
-type Engine interface {
-	// Simulate runs one iteration of the group chronology using r and
-	// returns the DDFs in chronological order.
-	Simulate(cfg Config, r *rng.RNG) ([]DDF, error)
-}
-
-// IntoSimulator is the allocation-free fast path of an Engine: it appends
-// the chronology's DDFs to buf (which may be nil) and returns the extended
+// Engine simulates one RAID-group chronology: it appends the DDFs to buf
+// (which may be nil) in chronological order and returns the extended
 // slice, reusing internal scratch between calls. In the paper's rare-event
 // regime almost every iteration returns len(buf) unchanged, so a runner
 // that reuses one buffer per worker simulates in a zero-allocation steady
-// state. Engines that implement it must produce bit-identical results to
-// their Simulate method.
+// state.
 //
 // logW is the iteration's importance-sampling log likelihood-ratio weight,
 // the sum of ln(f/g) over every variate drawn from a tilted distribution;
 // exactly 0 when cfg.Bias is disabled.
-type IntoSimulator interface {
+type Engine interface {
 	SimulateInto(cfg Config, r *rng.RNG, buf []DDF) (out []DDF, logW float64, err error)
 }

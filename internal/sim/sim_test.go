@@ -2,12 +2,19 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"raidrel/internal/dist"
 	"raidrel/internal/markov"
 	"raidrel/internal/rng"
 )
+
+// simulate runs one chronology through e, discarding the log weight.
+func simulate(e Engine, cfg Config, r *rng.RNG) ([]DDF, error) {
+	ddfs, _, err := e.SimulateInto(cfg, r, nil)
+	return ddfs, err
+}
 
 // Heavier-than-paper rates make DDFs frequent enough to validate counts
 // cheaply in tests.
@@ -81,7 +88,7 @@ func TestEventEngineMatchesMarkovAbsorption(t *testing.T) {
 	const iters = 6000
 	firstDDF := 0
 	for i := 0; i < iters; i++ {
-		ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(7, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(7, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +142,7 @@ func TestLatentChainMatchesMarkovAbsorption(t *testing.T) {
 	const iters = 8000
 	hit := 0
 	for i := 0; i < iters; i++ {
-		ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(314, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(314, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +186,7 @@ func TestRedundancy2MatchesDoubleParityChain(t *testing.T) {
 	const iters = 6000
 	hit := 0
 	for i := 0; i < iters; i++ {
-		ddfs, err := (EventEngine{}).Simulate(cfg, rng.ForStream(777, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(777, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +203,9 @@ func TestRedundancy2MatchesDoubleParityChain(t *testing.T) {
 	}
 }
 
-// The interval engine must agree with the event engine statistically.
+// The block engine must agree with the event engine statistically — the
+// paper's §6 ablation of the sequential-sort timeline (block) against the
+// merged event timeline (event).
 func TestEnginesCrossValidate(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTLd = dist.MustExponential(5e-4)
@@ -206,7 +215,7 @@ func TestEnginesCrossValidate(t *testing.T) {
 	const iters = 4000
 	count := func(e Engine, seed uint64) (total, opop, ldop int) {
 		for i := 0; i < iters; i++ {
-			ddfs, err := e.Simulate(cfg, rng.ForStream(seed, uint64(i)))
+			ddfs, err := simulate(e, cfg, rng.ForStream(seed, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +231,7 @@ func TestEnginesCrossValidate(t *testing.T) {
 		return total, opop, ldop
 	}
 	evTotal, evOpOp, evLdOp := count(EventEngine{}, 11)
-	ivTotal, ivOpOp, ivLdOp := count(IntervalEngine{}, 12)
+	ivTotal, ivOpOp, ivLdOp := count(BlockEngine{}, 12)
 	if evTotal == 0 || ivTotal == 0 {
 		t.Fatal("no DDFs generated; config too mild for the test")
 	}
@@ -230,20 +239,20 @@ func TestEnginesCrossValidate(t *testing.T) {
 		return math.Abs(float64(a)-float64(b)) / math.Max(float64(a), float64(b))
 	}
 	if rel(evTotal, ivTotal) > 0.08 {
-		t.Errorf("total DDFs disagree: event=%d interval=%d", evTotal, ivTotal)
+		t.Errorf("total DDFs disagree: event=%d block=%d", evTotal, ivTotal)
 	}
 	if rel(evLdOp, ivLdOp) > 0.10 {
-		t.Errorf("LdOp DDFs disagree: event=%d interval=%d", evLdOp, ivLdOp)
+		t.Errorf("LdOp DDFs disagree: event=%d block=%d", evLdOp, ivLdOp)
 	}
 	if rel(evOpOp+1, ivOpOp+1) > 0.25 {
-		t.Errorf("OpOp DDFs disagree: event=%d interval=%d", evOpOp, ivOpOp)
+		t.Errorf("OpOp DDFs disagree: event=%d block=%d", evOpOp, ivOpOp)
 	}
 }
 
 // Without latent defects every DDF must be OpOp.
 func TestNoLatentMeansNoLdOp(t *testing.T) {
 	cfg := fastConfig()
-	res, err := Run(RunSpec{Config: cfg, Iterations: 3000, Seed: 3})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 3000, Seed: 3, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +273,7 @@ func TestNoLatentMeansNoLdOp(t *testing.T) {
 func TestUnscrubbedDefectsDominate(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTLd = dist.MustExponential(1e-3) // defect every 1,000 h per drive
-	res, err := Run(RunSpec{Config: cfg, Iterations: 1500, Seed: 4})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 1500, Seed: 4, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +301,7 @@ func TestScrubMonotonicity(t *testing.T) {
 	} {
 		cfg := base
 		cfg.Trans.TTScrub = scrub
-		res, err := Run(RunSpec{Config: cfg, Iterations: 1200, Seed: 5})
+		res, err := RunSparse(RunSpec{Config: cfg, Iterations: 1200, Seed: 5, Engine: EventEngine{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +318,7 @@ func TestScrubMonotonicity(t *testing.T) {
 func TestLdAfterOpIsNotDDF(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTLd = dist.MustExponential(1e-9) // ~0.0007 defects per mission
-	res, err := Run(RunSpec{Config: cfg, Iterations: 2000, Seed: 6})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 2000, Seed: 6, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +336,11 @@ func TestRaid6Extension(t *testing.T) {
 	cfg6 := cfg5
 	cfg6.Redundancy = 2
 
-	res5, err := Run(RunSpec{Config: cfg5, Iterations: 2000, Seed: 7})
+	res5, err := RunSparse(RunSpec{Config: cfg5, Iterations: 2000, Seed: 7, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res6, err := Run(RunSpec{Config: cfg6, Iterations: 2000, Seed: 7})
+	res6, err := RunSparse(RunSpec{Config: cfg6, Iterations: 2000, Seed: 7, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,17 +362,19 @@ func TestDDFSuppressionSpacing(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTR = dist.MustWeibull(2, 12, 6) // minimum restore 6 h
 	cfg.Trans.TTLd = dist.MustExponential(2e-3)
-	res, err := Run(RunSpec{Config: cfg, Iterations: 800, Seed: 8})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 800, Seed: 8, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pairs := 0
-	for _, g := range res.PerGroup {
-		for i := 1; i < len(g); i++ {
-			pairs++
-			if g[i].Time-g[i-1].Time < 6 {
-				t.Fatalf("DDFs %v apart; restore floor is 6 h", g[i].Time-g[i-1].Time)
-			}
+	for i := 1; i < len(res.Events); i++ {
+		prev, cur := res.Events[i-1], res.Events[i]
+		if prev.Group != cur.Group {
+			continue
+		}
+		pairs++
+		if cur.Time-prev.Time < 6 {
+			t.Fatalf("DDFs %v apart; restore floor is 6 h", cur.Time-prev.Time)
 		}
 	}
 	if pairs == 0 {
@@ -376,8 +387,8 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg.Trans.TTLd = dist.MustExponential(5e-4)
 	cfg.Trans.TTScrub = dist.MustWeibull(3, 48, 6)
 	cfg.Mission = 20000
-	run := func(workers int) *RunResult {
-		res, err := Run(RunSpec{Config: cfg, Iterations: 500, Seed: 9, Workers: workers})
+	run := func(workers int) *SparseResult {
+		res, err := RunSparse(RunSpec{Config: cfg, Iterations: 500, Seed: 9, Workers: workers, Engine: EventEngine{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,42 +399,17 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("worker count changed results: %d/%d vs %d/%d",
 			a.TotalDDFs, a.LdOpDDFs, b.TotalDDFs, b.LdOpDDFs)
 	}
-	for i := range a.PerGroup {
-		if len(a.PerGroup[i]) != len(b.PerGroup[i]) {
-			t.Fatalf("group %d differs across worker counts", i)
-		}
-		for j := range a.PerGroup[i] {
-			if a.PerGroup[i][j] != b.PerGroup[i][j] {
-				t.Fatalf("group %d event %d differs", i, j)
-			}
-		}
+	if a.Groups != b.Groups || !reflect.DeepEqual(a.Events, b.Events) {
+		t.Fatal("worker count changed the per-group events")
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(RunSpec{Config: Config{}, Iterations: 1}); err == nil {
+	if _, err := RunSparse(RunSpec{Config: Config{}, Iterations: 1}); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := Run(RunSpec{Config: fastConfig(), Iterations: 0}); err == nil {
+	if _, err := RunSparse(RunSpec{Config: fastConfig(), Iterations: 0}); err == nil {
 		t.Error("zero iterations accepted")
-	}
-}
-
-func TestRunResultHelpers(t *testing.T) {
-	res := &RunResult{PerGroup: [][]DDF{
-		{{Time: 10, Cause: CauseOpOp}, {Time: 50, Cause: CauseLdOp}},
-		{},
-		{{Time: 30, Cause: CauseLdOp}},
-	}}
-	ev := res.EventTimes()
-	if len(ev) != 3 || len(ev[0]) != 2 || ev[0][1] != 50 || len(ev[1]) != 0 {
-		t.Errorf("EventTimes = %v", ev)
-	}
-	if res.DDFsBefore(30) != 2 {
-		t.Errorf("DDFsBefore(30) = %d", res.DDFsBefore(30))
-	}
-	if res.DDFsBefore(5) != 0 || res.DDFsBefore(100) != 3 {
-		t.Error("DDFsBefore edges wrong")
 	}
 }
 
@@ -432,9 +418,9 @@ func TestChronologyInvariants(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Trans.TTLd = dist.MustExponential(1e-3)
 	cfg.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
-	for _, engine := range []Engine{EventEngine{}, IntervalEngine{}} {
+	for _, engine := range []Engine{EventEngine{}, BlockEngine{}} {
 		for i := 0; i < 500; i++ {
-			ddfs, err := engine.Simulate(cfg, rng.ForStream(10, uint64(i)))
+			ddfs, err := simulate(engine, cfg, rng.ForStream(10, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,7 +453,7 @@ func TestQuiescentGroupHasNoDDFs(t *testing.T) {
 			TTR:  dist.MustExponential(1),
 		},
 	}
-	res, err := Run(RunSpec{Config: cfg, Iterations: 500, Seed: 11})
+	res, err := RunSparse(RunSpec{Config: cfg, Iterations: 500, Seed: 11, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type GroupEvent struct {
 // SparseResult aggregates a Monte Carlo campaign storing only the groups
 // that produced events: at the paper's headline rate (0.27 DDFs per 1,000
 // groups per 10 years) over 99.9% of groups are empty, so the sparse form
-// costs O(events) memory where RunResult's PerGroup costs O(iterations).
+// costs O(events) memory where a per-group slice would cost O(iterations).
 // It implements Collector, accumulating directly from the runner.
 //
 // Invariant: Events is sorted by (Group, Time), with one LogW per group
@@ -515,35 +515,4 @@ func (r *SparseResult) WeightedCauseTotals() (total, opop, ldop float64) {
 		}
 	}
 	return total, opop, ldop
-}
-
-// Dense materializes the sparse result as a RunResult, the store-everything
-// representation with one PerGroup entry per iteration. Groups without
-// events get a nil slice, matching what engines return for an event-free
-// chronology. Importance-sampling weights do not survive the conversion;
-// Dense exists for the unbiased compatibility path.
-func (r *SparseResult) Dense() *RunResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := &RunResult{
-		PerGroup:      make([][]DDF, r.Groups),
-		TotalDDFs:     r.TotalDDFs,
-		OpOpDDFs:      r.OpOpDDFs,
-		LdOpDDFs:      r.LdOpDDFs,
-		UnavailEvents: r.UnavailEvents,
-	}
-	for i := 0; i < len(r.Events); {
-		g := r.Events[i].Group
-		j := i
-		for j < len(r.Events) && r.Events[j].Group == g {
-			j++
-		}
-		ddfs := make([]DDF, j-i)
-		for k := i; k < j; k++ {
-			ddfs[k-i] = r.Events[k].DDF
-		}
-		out.PerGroup[g] = ddfs
-		i = j
-	}
-	return out
 }

@@ -11,13 +11,13 @@ import (
 // TestRunSparseMatchesSerialSimulate pins the whole streaming pipeline —
 // SimulateInto fast path, per-worker scratch reuse, and the in-order
 // channel merge — against the simplest possible reference: a serial loop
-// calling Engine.Simulate with a fresh RNG per stream.
+// calling SimulateInto with a fresh RNG per stream.
 func TestRunSparseMatchesSerialSimulate(t *testing.T) {
 	cfg := fastConfig()
 	const n = 300
 	want := &SparseResult{}
 	for i := 0; i < n; i++ {
-		ddfs, err := EventEngine{}.Simulate(cfg, rng.ForStream(99, uint64(i)))
+		ddfs, err := simulate(EventEngine{}, cfg, rng.ForStream(99, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +27,7 @@ func TestRunSparseMatchesSerialSimulate(t *testing.T) {
 		t.Fatal("fast config produced no DDFs; test is vacuous")
 	}
 
-	got, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 99, Workers: 5})
+	got, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 99, Workers: 5, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +40,8 @@ func TestRunSparseMatchesSerialSimulate(t *testing.T) {
 	}
 }
 
-// TestRunSparseWorkerCountInvariance mirrors the dense invariance test on
-// the sparse path: the event index must be bit-identical for any worker
-// count.
+// TestRunSparseWorkerCountInvariance: on the default (block) path too, the
+// event index must be bit-identical for any worker count.
 func TestRunSparseWorkerCountInvariance(t *testing.T) {
 	base := RunSpec{Config: paperBaseConfig(), Iterations: 400, Seed: 20070625}
 	one := base
@@ -93,35 +92,40 @@ func TestRunCollectObservesInOrder(t *testing.T) {
 	}
 }
 
-// TestSparseDenseMatchesPerStream: Dense() reconstructs exactly the
-// per-group slices a store-everything run would hold, with nil (not
-// empty) entries for event-free groups.
+// TestSparseDenseMatchesPerStream: regrouped per group, the sparse event
+// index holds exactly the slices a store-everything run would hold — each
+// group's engine output, and nothing for event-free groups.
 func TestSparseDenseMatchesPerStream(t *testing.T) {
 	cfg := fastConfig()
 	const n = 200
-	sparse, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 3})
+	sparse, err := RunSparse(RunSpec{Config: cfg, Iterations: n, Seed: 3, Engine: EventEngine{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := sparse.Dense()
-	if len(dense.PerGroup) != n {
-		t.Fatalf("dense has %d groups, want %d", len(dense.PerGroup), n)
+	if sparse.Groups != n {
+		t.Fatalf("sparse has %d groups, want %d", sparse.Groups, n)
 	}
+	perGroup := make([][]DDF, n)
+	for _, e := range sparse.Events {
+		perGroup[e.Group] = append(perGroup[e.Group], e.DDF)
+	}
+	total := 0
 	for i := 0; i < n; i++ {
-		want, err := EventEngine{}.Simulate(cfg, rng.ForStream(3, uint64(i)))
+		want, err := simulate(EventEngine{}, cfg, rng.ForStream(3, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(dense.PerGroup[i], want) {
-			t.Fatalf("group %d: dense %v != engine %v", i, dense.PerGroup[i], want)
+		if !reflect.DeepEqual(perGroup[i], want) {
+			t.Fatalf("group %d: sparse %v != engine %v", i, perGroup[i], want)
 		}
+		total += len(want)
 	}
-	if dense.TotalDDFs != sparse.TotalDDFs {
-		t.Fatal("dense tally differs")
+	if total != sparse.TotalDDFs {
+		t.Fatal("sparse tally differs from the per-stream event count")
 	}
 }
 
-// TestSparseMergeComposition mirrors the dense offset-composition test:
+// TestSparseMergeComposition mirrors the runner's offset-composition test:
 // [0,k) merged with [k,n) run at Offset k equals a single [0,n) run.
 func TestSparseMergeComposition(t *testing.T) {
 	cfg := fastConfig()
@@ -191,14 +195,6 @@ func TestSparseResultHelpers(t *testing.T) {
 	if restored.TotalDDFs != 3 || restored.OpOpDDFs != 1 || restored.LdOpDDFs != 2 {
 		t.Error("Tally from events wrong")
 	}
-
-	dense := r.Dense()
-	if len(dense.PerGroup) != 5 || dense.PerGroup[0] != nil || dense.PerGroup[2] != nil || dense.PerGroup[4] != nil {
-		t.Error("Dense materialized empty groups as non-nil")
-	}
-	if !reflect.DeepEqual(dense.PerGroup[1], []DDF{{Time: 50, Cause: CauseOpOp}, {Time: 60, Cause: CauseLdOp}}) {
-		t.Error("Dense group 1 wrong")
-	}
 }
 
 // Regression test for the cache-invalidation race: a live progress reader
@@ -206,19 +202,19 @@ func TestSparseResultHelpers(t *testing.T) {
 // safe. The original code rebuilt the flat-times cache under a sync.Once
 // that Observe reassigned concurrently — a data race the -race detector
 // flags; the mutex version must stay silent.
+//
+// Both sides do a fixed amount of work. A writer that runs until the reader
+// finishes never ends on a slow scheduler: each read re-sorts every event
+// stored so far, so the writer outpaces the reader and the sorts grow
+// without bound.
 func TestSparseResultConcurrentAccess(t *testing.T) {
+	const writes = 3000
 	r := &SparseResult{}
-	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
+		for i := 0; i < writes; i++ {
 			var ddfs []DDF
 			if i%3 == 0 {
 				ddfs = []DDF{{Time: float64(i % 100), Cause: CauseOpOp}}
@@ -241,6 +237,14 @@ func TestSparseResultConcurrentAccess(t *testing.T) {
 		r.WeightedCauseTotals()
 		r.Weighted()
 	}
-	close(done)
 	wg.Wait()
+
+	const opop, ldop = writes / 3, writes / 50
+	if r.TotalDDFs != opop+ldop || r.OpOpDDFs != opop || r.LdOpDDFs != ldop {
+		t.Errorf("tallies total=%d opop=%d ldop=%d, want %d/%d/%d",
+			r.TotalDDFs, r.OpOpDDFs, r.LdOpDDFs, opop+ldop, opop, ldop)
+	}
+	if got := len(r.Times()); got != opop+ldop {
+		t.Errorf("Times() has %d events after the writer finished, want %d", got, opop+ldop)
+	}
 }

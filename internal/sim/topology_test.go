@@ -99,7 +99,7 @@ func TestTopologyStringDeterministic(t *testing.T) {
 
 // An explicitly flat (component-free) topology must compile down to
 // exactly the nil-topology model: same DDF times, causes, and log weights
-// per stream, for all three engines, plain and biased.
+// per stream, for both engines, plain and biased.
 func TestFlatTopologyBitIdentical(t *testing.T) {
 	base := fastConfig()
 	base.Trans.TTLd = dist.MustExponential(5e-4)
@@ -111,10 +111,9 @@ func TestFlatTopologyBitIdentical(t *testing.T) {
 
 	engines := []struct {
 		name string
-		e    IntoSimulator
+		e    Engine
 	}{
 		{"event", EventEngine{}},
-		{"interval", IntervalEngine{}},
 		{"block", BlockEngine{}},
 	}
 	for _, cfg := range []Config{base, biased} {
@@ -210,7 +209,7 @@ func TestScriptedDataLossDuringOutage(t *testing.T) {
 			TTR:    newScripted(80),
 		}}},
 	}
-	ddfs, err := (EventEngine{}).Simulate(cfg, rng.New(1))
+	ddfs, err := simulate(EventEngine{}, cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,10 +411,6 @@ func TestSparseResultSeparatesUnavailFromLoss(t *testing.T) {
 	r.Tally()
 	if r.UnavailEvents != 3 || r.TotalDDFs != 1 {
 		t.Errorf("after tally: unavail=%d total=%d", r.UnavailEvents, r.TotalDDFs)
-	}
-	d := r.Dense()
-	if d.UnavailEvents != 3 || d.TotalDDFs != 1 {
-		t.Errorf("dense: unavail=%d total=%d", d.UnavailEvents, d.TotalDDFs)
 	}
 }
 

@@ -38,6 +38,10 @@ func PairedMeanCI(a, b []float64, level float64) (Interval, error) {
 	return NormalMeanCI(means, level)
 }
 
+// MinCVObservations is the fewest observations CVAccum.Interval accepts:
+// one more than the two parameters (mean and slope) it fits.
+const MinCVObservations = 3
+
 // CVAccum accumulates the first and second co-moments of an observation y
 // and its control variate z online (Welford form, numerically stable), so
 // the optimal control coefficient ĉ = Cov(y,z)/Var(z) can be fitted in one
@@ -100,9 +104,17 @@ func (a *CVAccum) R2() float64 {
 // unadjusted sample variance — algebraically, fitting ĉ from the same
 // sample can only shrink the interval, never widen it (at the price of an
 // O(1/n) bias in ĉ that vanishes against the 1/√n interval width).
+//
+// Fitting the mean and the slope spends two degrees of freedom, so at
+// least three observations are required: with two, the fitted line passes
+// through both points and the residual — hence the interval width — is
+// identically zero, which a stopping rule would read as perfect precision.
+// The residual keeps the n−1 divisor of the large-sample form above, which
+// is what guarantees the adjusted interval is never wider than the plain
+// one.
 func (a *CVAccum) Interval(ez, level float64) (Interval, error) {
-	if a.n < 2 {
-		return Interval{}, fmt.Errorf("stats: need >= 2 observations, got %d", a.n)
+	if a.n < MinCVObservations {
+		return Interval{}, fmt.Errorf("stats: the control-variate interval needs >= %d observations, got %d", MinCVObservations, a.n)
 	}
 	if level <= 0 || level >= 1 {
 		return Interval{}, fmt.Errorf("stats: confidence level %v outside (0,1)", level)

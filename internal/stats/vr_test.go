@@ -163,6 +163,26 @@ func TestCVAccumMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestCVAccumNeedsThreeObservations: two observations determine the fitted
+// mean and slope exactly, leaving a zero residual and a zero-width
+// interval; the accumulator must refuse rather than report it.
+func TestCVAccumNeedsThreeObservations(t *testing.T) {
+	var acc CVAccum
+	acc.Add(0.1, 0.2)
+	acc.Add(0.3, 0.5)
+	if iv, err := acc.Interval(0.3, 0.95); err == nil {
+		t.Fatalf("two observations gave interval [%g, %g], want an error", iv.Lo, iv.Hi)
+	}
+	acc.Add(0.2, 0.3)
+	iv, err := acc.Interval(0.3, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(iv.Hi > iv.Lo) {
+		t.Fatalf("three non-collinear observations gave a zero-width interval [%g, %g]", iv.Lo, iv.Hi)
+	}
+}
+
 // TestCVAccumDegenerate: a constant control must yield coefficient 0 and
 // fall back to the plain interval rather than dividing by zero.
 func TestCVAccumDegenerate(t *testing.T) {
