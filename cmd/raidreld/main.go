@@ -44,6 +44,16 @@ import (
 	"raidrel/internal/service"
 )
 
+// Connection bounds: a client has readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection closes after idleTimeout, so
+// slow or abandoned connections cannot pile up. Request bodies are capped
+// by the service handlers; there is no write timeout because
+// /v1/jobs/{id}/stream holds its response open for a whole campaign.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -79,7 +89,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	fmt.Fprintf(out, "raidreld: listening on %s\n", ln.Addr())
 
 	errc := make(chan error, 1)

@@ -151,6 +151,42 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// An oversized request body is refused with 413 and a JSON error naming
+// the limit, on both decoding endpoints, and the daemon keeps serving.
+func TestDaemonRejectsOversizedBody(t *testing.T) {
+	base, _, stop := startDaemon(t)
+	defer stop()
+
+	huge := `{"jobs": ["` + strings.Repeat("j", 2<<20) + `"]}`
+	for _, path := range []string{"/v1/jobs", "/v1/merge"} {
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("POST %s: undecodable error body: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s = %d, want 413: %v", path, resp.StatusCode, doc)
+		}
+		if !strings.Contains(doc["error"], "exceeds the 1048576-byte limit") {
+			t.Fatalf("POST %s error = %q, want the size limit named", path, doc["error"])
+		}
+	}
+
+	var health map[string]any
+	getDoc(t, base+"/healthz", &health)
+	if health["status"] != "ok" {
+		t.Fatalf("healthz after oversized bodies: %v", health)
+	}
+	if doc := postSpec(t, base, testSpec); doc["id"] == nil {
+		t.Fatalf("submit after oversized bodies: %v", doc)
+	}
+}
+
 // TestDaemonDrainCheckpoints is the SIGTERM acceptance path through the
 // real binary wiring: a termination signal while a campaign is in flight
 // leaves a current checkpoint behind, and a restarted daemon resumes the

@@ -203,12 +203,34 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a request body. A job spec — even one with a coupled
+// topology and per-slot overrides — or a merge request's job list is a few
+// kilobytes; 1 MiB is far above any real one and stops a client from
+// streaming an unbounded body into the decoder.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields and
+// bodies over maxBodyBytes (413). On failure it writes the error response,
+// prefixed with what, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s: request body exceeds the %d-byte limit", what, tooBig.Limit))
+	} else {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("%s: %w", what, err))
+	}
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+	if !decodeBody(w, r, "bad job spec", &spec) {
 		return
 	}
 	j, reused, err := s.Submit(spec)
@@ -351,10 +373,7 @@ type mergeRequest struct {
 
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	var req mergeRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad merge request: %w", err))
+	if !decodeBody(w, r, "bad merge request", &req) {
 		return
 	}
 	j, err := s.MergeJobs(req.Jobs)

@@ -220,8 +220,9 @@ func (h *healHeap) pop() healReq {
 }
 
 // fleetSlot is the per-drive-slot state of the fleet engine: the event
-// engine's slotState plus the repair-server bookkeeping (when the slot
-// failed, the TTR drawn at failure, and its heal-queue membership).
+// engine's slotState, the repair-server bookkeeping (when the slot
+// failed, the TTR drawn at failure, and its heal-queue membership), and
+// the slot's one pending defect arrival (see drain).
 type fleetSlot struct {
 	slotState
 	failTime float64
@@ -229,6 +230,8 @@ type fleetSlot struct {
 	queueSeq int64
 	queueGen int32
 	queued   bool
+	defAt    float64 // next defect arrival; +Inf when none within the mission
+	defSeq   int64   // the seq that arrival holds
 }
 
 // fleetSim is the pooled scratch of one fleet chronology. Every slice is
@@ -242,7 +245,10 @@ type fleetSim struct {
 
 	rngs  []rng.RNG // one independent stream per group
 	slots []fleetSlot
-	q     eventQueue
+	// q holds the events that can touch another group's state: failures,
+	// restores, spare arrivals and concomitant defect truncations. Defect
+	// arrivals stay off it (see drain).
+	q eventQueue
 
 	// Per-group state.
 	failedCount   []int32   // failed drives right now
@@ -252,15 +258,14 @@ type fleetSim struct {
 	degradedSince []float64 // start of the current degradation episode
 
 	// Repair server.
-	heap    healHeap
-	spares  sparePool
-	active  int
-	depth   int
-	depthT  float64
-	depthI  float64 // ∫ depth dt
-	reqSeq  int64
-	seq     int64
-	defects int64 // defect id counter
+	heap   healHeap
+	spares sparePool
+	active int
+	depth  int
+	depthT float64
+	depthI float64 // ∫ depth dt
+	reqSeq int64
+	seq    int64
 
 	// Backlog accumulators (copied into FleetStats at the end).
 	failures, rebuilds, waited, maxDepth int
@@ -313,11 +318,9 @@ func (s *fleetSim) release() {
 
 func (s *fleetSim) limited() bool { return s.cfg.MaxConcurrentRebuilds > 0 }
 
-// pushEv schedules an event, discarding anything beyond the mission
-// horizon — exactly the event engine's push, sharing one global seq across
-// groups. Within a group the relative seq order matches a single-group
-// run's, which is what keeps uncontended fleet groups bit-identical to
-// independent EventEngine chronologies.
+// pushEv schedules a global event, discarding anything beyond the mission
+// horizon — the event engine's push, drawing from the one seq counter
+// that defect arrivals and phantom scrub clears share across groups.
 func (s *fleetSim) pushEv(t float64, kind eventKind, slot, gen int32, id int64, arg float64) {
 	if t > s.g.Mission {
 		return
@@ -333,17 +336,78 @@ func (s *fleetSim) scheduleOpFail(slot int, from float64, r *rng.RNG) {
 	s.pushEv(from+dt, evOpFail, int32(slot), s.slots[slot].gen, 0, 0)
 }
 
+// scheduleDefect draws the slot's next defect arrival and makes it the
+// slot's pending one, replacing any arrival left over from the slot's
+// previous drive. It consumes a seq exactly when the event engine's push
+// would: only for an arrival within the mission.
 func (s *fleetSim) scheduleDefect(slot int, from float64, r *rng.RNG) {
+	t := math.Inf(1)
 	if s.kern.plainTTLd {
-		s.pushEv(from+s.kern.ttld.Draw(r), evDefectArrive, int32(slot), s.slots[slot].gen, 0, 0)
+		t = from + s.kern.ttld.Draw(r)
+	} else if s.g.Trans.latentEnabled() {
+		// Bias is rejected by Validate, so the log ratio is always 0 here.
+		t, _ = s.kern.nextDefect(&s.g, from, s.g.Mission, r)
+	}
+	if t > s.g.Mission {
+		s.slots[slot].defAt = math.Inf(1)
 		return
 	}
-	if !s.g.Trans.latentEnabled() {
-		return
+	s.seq++
+	s.slots[slot].defAt, s.slots[slot].defSeq = t, s.seq
+}
+
+// drain handles group grp's pending defect arrivals that precede a global
+// event at (t, seq), earliest (time, seq) first — the order the event
+// engine's queue would pop them in. An arrival only reads and writes its
+// own slot and group stream, so deferring it to the group's next global
+// event changes nothing that group observes.
+func (s *fleetSim) drain(grp int, t float64, seq int64) {
+	base := grp * s.g.Drives
+	sls := s.slots[base : base+s.g.Drives]
+	for {
+		k, kt, ks := -1, t, seq
+		for j := range sls {
+			dt, dq := sls[j].defAt, sls[j].defSeq
+			if dt < kt || (dt == kt && dq < ks) {
+				k, kt, ks = j, dt, dq
+			}
+		}
+		if k < 0 {
+			return
+		}
+		s.arrive(base+k, kt, &s.rngs[grp])
 	}
-	// Bias is rejected by Validate, so the log ratio is always 0 here.
-	t, _ := s.kern.nextDefect(&s.g, from, s.g.Mission, r)
-	s.pushEv(t, evDefectArrive, int32(slot), s.slots[slot].gen, 0, 0)
+}
+
+// arrive lands a latent defect on slot at time t: it draws the scrub
+// correction, compacts the slot's dead defects, records the new one and
+// schedules the next arrival.
+func (s *fleetSim) arrive(slot int, t float64, r *rng.RNG) {
+	sl := &s.slots[slot]
+	end, clearSeq := math.Inf(1), int64(math.MaxInt64)
+	if s.g.Trans.TTScrub != nil {
+		end = t + s.kern.scrub.Draw(r)
+		if end <= s.g.Mission {
+			// Phantom correction, as in the untraced event engine: consume
+			// the seq the queued clear event would have held, so tie-break
+			// ranks match bit for bit.
+			s.seq++
+			clearSeq = s.seq
+		}
+	}
+	// Compact defects that can never be live again (ended at or before
+	// now): every later event of the group has time >= t and seq beyond
+	// any already-assigned clearSeq, so defectLive is false for them
+	// forever. Keeps per-slot lists short over a long mission without
+	// perturbing any DDF decision.
+	kept := sl.defects[:0]
+	for i := range sl.defects {
+		if sl.defects[i].end > t {
+			kept = append(kept, sl.defects[i])
+		}
+	}
+	sl.defects = append(kept, defectRec{start: t, end: end, clearSeq: clearSeq})
+	s.scheduleDefect(slot, t, r)
 }
 
 // noteDepth advances the queue-depth time integral to t, then applies
@@ -409,9 +473,12 @@ func (s *fleetSim) startRebuild(slot int, t float64) {
 	}
 }
 
-// grantNext hands freed repair slots to the highest-priority waiting
-// rebuilds, skipping stale heap entries (lazy deletion).
-func (s *fleetSim) grantNext(t float64) {
+// grantNext hands repair slots freed by the event at (t, seq) to the
+// highest-priority waiting rebuilds, skipping stale heap entries (lazy
+// deletion). A grant pushes a restore for a group that may be another
+// one, so that group's arrivals before (t, seq) are drained first: they
+// take their seqs before the restore's, as on one all-events queue.
+func (s *fleetSim) grantNext(t float64, seq int64) {
 	for s.active < s.cfg.MaxConcurrentRebuilds && s.heap.Len() > 0 {
 		req := s.heap.pop()
 		sl := &s.slots[req.slot]
@@ -420,7 +487,9 @@ func (s *fleetSim) grantNext(t float64) {
 		}
 		sl.queued = false
 		sl.queueGen++
-		s.queuedCount[int(req.slot)/s.g.Drives]--
+		grp := int(req.slot) / s.g.Drives
+		s.queuedCount[grp]--
+		s.drain(grp, t, seq)
 		s.startRebuild(int(req.slot), t)
 	}
 }
@@ -492,7 +561,7 @@ func (s *fleetSim) resize(groups, drives int) {
 	}
 	s.q.reset()
 	s.heap.reset()
-	s.seq, s.reqSeq, s.defects = 0, 0, 0
+	s.seq, s.reqSeq = 0, 0
 	s.active, s.depth, s.maxDepth = 0, 0, 0
 	s.depthT, s.depthI = 0, 0
 	s.failures, s.rebuilds, s.waited = 0, 0, 0
@@ -503,7 +572,8 @@ func (s *fleetSim) resize(groups, drives int) {
 
 // SimulateFleetInto runs one chronology of the whole fleet. Group g draws
 // every sample from its own RNG stream baseStream+g of seed — the same
-// stream iteration Offset+i uses in the scalar runner — so with unlimited
+// stream iteration Offset+i uses in the scalar runner — and handles its
+// events in the event engine's (time, seq) order, so with unlimited
 // repair slots and nil shared spares each group's chronology is
 // bit-identical to an independent EventEngine run on that stream. Shared
 // spares or a finite MaxConcurrentRebuilds couple the groups through the
@@ -557,10 +627,28 @@ func SimulateFleetInto(cfg FleetConfig, seed, baseStream uint64, visit func(grou
 	return nil
 }
 
-// run executes the event loop. The per-event semantics mirror
-// eventSim.run exactly (lazy defect liveness, phantom scrub seqs, DDF
-// suppression windows); the differences are per-group RNG streams and the
-// repair server between a failure and its restore.
+// run executes the event loop. The per-event semantics are eventSim.run's
+// (lazy defect liveness, phantom scrub seqs, DDF suppression windows); the
+// differences are per-group RNG streams, the repair server between a
+// failure and its restore, and where defect arrivals wait.
+//
+// The global queue holds only the events another group can observe or
+// trigger. A defect arrival touches nothing but its own slot and its
+// group's stream, so each slot keeps its one pending arrival aside and
+// drain replays a group's arrivals just before that group's next global
+// event. The invariant this keeps: within every group, events are handled
+// in the same (time, seq) order and draw the same values from the group's
+// stream as on one all-events queue. Global events are pushed in the same
+// order as on that queue, and seq is monotone in push order, so ties
+// between groups break the same way too. Arrivals after a group's last
+// global event are never handled; nothing observable depends on them.
+//
+// The one event that pushes into another group is a repair-slot grant,
+// and grantNext drains the granted group first. What the replay does
+// change is how draws interleave across groups: a distribution that keeps
+// state shared between groups (the tests' scripted sequences) sees its
+// values in a different order in a multi-group fleet with defects,
+// although every real distribution draws from the group's own stream.
 func (s *fleetSim) run(seed, baseStream uint64) {
 	g := &s.g
 	drives := g.Drives
@@ -576,18 +664,16 @@ func (s *fleetSim) run(seed, baseStream uint64) {
 
 	for s.q.Len() > 0 {
 		ev := s.q.pop()
-		if ev.time > g.Mission {
-			break
-		}
 		evSlot := int(ev.slot)
 		sl := &s.slots[evSlot]
+		if ev.gen != sl.gen {
+			continue // the event's drive has since been replaced
+		}
 		grp := evSlot / drives
 		r := &s.rngs[grp]
+		s.drain(grp, ev.time, ev.seq)
 		switch ev.kind {
 		case evOpFail:
-			if ev.gen != sl.gen {
-				continue
-			}
 			// DDF determination happens at the instant of the failure,
 			// before this slot's state changes — the event engine's scan,
 			// restricted to the group.
@@ -657,9 +743,6 @@ func (s *fleetSim) run(seed, baseStream uint64) {
 			}
 
 		case evOpRestore:
-			if ev.gen != sl.gen {
-				continue
-			}
 			sl.failed = false
 			s.rebuilds++
 			s.failedCount[grp]--
@@ -674,50 +757,13 @@ func (s *fleetSim) run(seed, baseStream uint64) {
 				// The group got less degraded: re-key its waiting rebuilds
 				// before handing out the freed slot.
 				s.requeueGroup(grp)
-				s.grantNext(ev.time)
+				s.grantNext(ev.time, ev.seq)
 			}
 
 		case evFleetSpare:
-			if ev.gen != sl.gen {
-				continue
-			}
 			s.admit(evSlot, ev.time)
 
-		case evDefectArrive:
-			if ev.gen != sl.gen {
-				continue
-			}
-			s.defects++
-			end, clearSeq := math.Inf(1), int64(math.MaxInt64)
-			if g.Trans.TTScrub != nil {
-				end = ev.time + s.kern.scrub.Draw(r)
-				if end <= g.Mission {
-					// Phantom correction, as in the untraced event engine:
-					// consume the seq the queued clear event would have
-					// held, so tie-break ranks match bit for bit.
-					s.seq++
-					clearSeq = s.seq
-				}
-			}
-			// Compact defects that can never be live again (ended at or
-			// before now): every future event has time >= ev.time and seq
-			// beyond any already-assigned clearSeq, so defectLive is false
-			// for them forever. Keeps per-slot lists short over a long
-			// mission without perturbing any DDF decision.
-			kept := sl.defects[:0]
-			for i := range sl.defects {
-				if sl.defects[i].end > ev.time {
-					kept = append(kept, sl.defects[i])
-				}
-			}
-			sl.defects = kept
-			sl.defects = append(sl.defects, defectRec{id: s.defects, start: ev.time, end: end, clearSeq: clearSeq})
-			s.scheduleDefect(evSlot, ev.time, r)
-
 		case evTruncateDefects:
-			if ev.gen != sl.gen {
-				continue
-			}
 			kept := sl.defects[:0]
 			for _, d := range sl.defects {
 				if d.start > ev.arg {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"raidrel/internal/dist"
@@ -272,6 +273,62 @@ func TestScriptedDefectAtRedundancyNoDDF(t *testing.T) {
 	fleetGroups, _ = simulateFleetSeeded(t, FleetConfig{Groups: 1, Group: live()}, 1, 0)
 	if len(fleetGroups[0].DDFs) != 1 || fleetGroups[0].DDFs[0] != engineDDFs[0] {
 		t.Errorf("fleet engine companion: %v, want %v", fleetGroups[0].DDFs, engineDDFs)
+	}
+}
+
+// A defect arrival and an operational failure at the same instant in one
+// group are ordered by scheduling seq, exactly as in the event engine: a
+// defect scheduled before the failure is live at it (LdOp DDF), one
+// scheduled after is not — but it still lands and is live at a later
+// failure. Pins the (time, seq) tie-break between a group's defect
+// arrivals and its failures.
+func TestFleetScriptedDefectFailureTie(t *testing.T) {
+	scripts := map[string]struct {
+		cfg  func() Config
+		want []DDF
+	}{
+		// t=0 draws, slot by slot: slot 0's defect (seq 2) precedes slot
+		// 1's failure (seq 3), both at 100.
+		"DefectFirst": {func() Config {
+			return Config{
+				Drives: 3, Redundancy: 1, Mission: 1000,
+				Trans: Transitions{
+					TTOp:    newScripted(5000, 100, 5000, 5000),
+					TTR:     newScripted(50),
+					TTLd:    newScripted(100, 5000, 5000, 5000),
+					TTScrub: newScripted(500),
+				},
+			}
+		}, []DDF{{Time: 100, Cause: CauseLdOp}}},
+		// Slot 0's failure (seq 1) precedes slot 1's defect (seq 4) at
+		// 100: no DDF then, but the defect is live when slot 2 fails at
+		// 200, after slot 0's rebuild has finished.
+		"FailureFirst": {func() Config {
+			return Config{
+				Drives: 3, Redundancy: 1, Mission: 1000,
+				Trans: Transitions{
+					TTOp:    newScripted(100, 5000, 200, 5000),
+					TTR:     newScripted(50),
+					TTLd:    newScripted(5000, 100, 5000, 5000),
+					TTScrub: newScripted(500),
+				},
+			}
+		}, []DDF{{Time: 200, Cause: CauseLdOp}}},
+	}
+	for name, sc := range scripts {
+		t.Run(name, func(t *testing.T) {
+			engineDDFs, err := simulate(EventEngine{}, sc.cfg(), rng.New(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(engineDDFs, sc.want) {
+				t.Errorf("event engine DDFs = %v, want %v", engineDDFs, sc.want)
+			}
+			fleetGroups, _ := simulateFleetSeeded(t, FleetConfig{Groups: 1, Group: sc.cfg()}, 1, 0)
+			if !reflect.DeepEqual(fleetGroups[0].DDFs, engineDDFs) {
+				t.Errorf("fleet DDFs = %v, event engine %v", fleetGroups[0].DDFs, engineDDFs)
+			}
+		})
 	}
 }
 

@@ -84,6 +84,15 @@ func TestFleetMatchesEngineBitIdentical(t *testing.T) {
 	raid6.Trans.TTLd = dist.MustExponential(8e-4)
 	raid6.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
 	cfgs["Raid6"] = raid6
+	// The paper's base case: Weibull TTOp and scrub, few DDFs per group.
+	cfgs["BaseCase"] = paperBaseConfig()
+	// An NHPP defect process takes scheduleDefect's thinning branch
+	// instead of the plain renewal draw.
+	nhpp := fastConfig()
+	nhpp.Trans.TTLdRate = func(t float64) float64 { return 5e-4 * (1 + 0.5*math.Sin(t/1000)) }
+	nhpp.Trans.TTLdRateMax = 7.5e-4
+	nhpp.Trans.TTScrub = dist.MustWeibull(3, 168, 6)
+	cfgs["NHPP"] = nhpp
 
 	const (
 		seed       = 700

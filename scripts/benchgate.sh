@@ -5,7 +5,10 @@
 # and fleet engines, plain and biased) at BASE_REF and at the working tree, prints a
 # benchstat comparison when benchstat is on PATH, and exits non-zero if any
 # pinned benchmark's median sec/op regresses by more than
-# MAX_REGRESSION_PCT (default 10).
+# MAX_REGRESSION_PCT (default 10), or if a head-only gate fails: block vs
+# event engine speedups, fleet vs event engine per-group cost, flat
+# topology parity, the variance-reduction efficiency figures and the fleet
+# zero-alloc guard.
 #
 # Skip knobs (see DESIGN.md "Benchmark gate"):
 #   * docs-only diffs (every changed file *.md) skip automatically;
@@ -62,12 +65,13 @@ echo "benchgate: measuring base $BASE_REF"
 git worktree add --detach "$tmp/base" "$BASE_REF" >/dev/null
 run_bench "$tmp/base" >"$tmp/base.txt" || true
 
-# medians FILE — "name median_ns" per pinned benchmark, sorted by name.
+# medians FILE [UNIT] — "name median" of each pinned benchmark's UNIT
+# column (default ns/op), sorted by name.
 medians() {
-  awk '
+  awk -v unit="${2:-ns/op}" '
     /^Benchmark/ {
       name = $1; sub(/-[0-9]+$/, "", name)
-      for (i = 2; i < NF; i++) if ($(i + 1) == "ns/op") vals[name] = vals[name] " " $i
+      for (i = 2; i < NF; i++) if ($(i + 1) == unit) vals[name] = vals[name] " " $i
     }
     END {
       for (name in vals) {
@@ -117,25 +121,35 @@ join <(medians "$tmp/base.txt") <(medians "$tmp/head.txt") |
 # the same invocation, so the VM's slow drift between invocations mostly
 # cancels out of the ratio. Base refs that predate the block engine simply
 # lack the benchmark, so this compares within the head measurement.
-speedup_gate() { # label block_bench event_bench min
-  medians "$tmp/head.txt" | awk -v label="$1" -v b="$2" -v e="$3" -v min="$4" '
-    $1 == b { block = $2 }
-    $1 == e { evt = $2 }
-    END {
-      if (!block || !evt) {
-        printf "benchgate: %s block/event medians not all measured; skipping speedup gate\n", label
-        exit 0
-      }
-      printf "benchgate: %s block %.0f ns vs event %.0f ns (%.2fx, gate >= %.2fx)\n", \
-        label, block, evt, evt / block, min
-      if (evt / block < min) {
-        printf "benchgate: FAIL — %s block engine lost its speedup over the event engine\n", label
-        exit 1
-      }
-    }'
+# fast_unit names the fast benchmark's per-group column (default ns/op);
+# the event engine's ns/op is always one group chronology.
+speedup_gate() { # label fast_bench event_bench min [fast_unit]
+  { medians "$tmp/head.txt" "${5:-ns/op}" | sed 's/^/fast /'
+    medians "$tmp/head.txt" | sed 's/^/event /'; } |
+    awk -v label="$1" -v f="$2" -v e="$3" -v min="$4" '
+      $1 == "fast" && $2 == f { fast = $3 }
+      $1 == "event" && $2 == e { evt = $3 }
+      END {
+        if (!fast || !evt) {
+          printf "benchgate: %s medians not all measured; skipping speedup gate\n", label
+          exit 0
+        }
+        printf "benchgate: %s %.0f ns vs event engine %.0f ns per group (%.2fx, gate >= %.2fx)\n", \
+          label, fast, evt, evt / fast, min
+        if (evt / fast < min) {
+          printf "benchgate: FAIL — %s lost its speedup over the event engine\n", label
+          exit 1
+        }
+      }'
 }
-speedup_gate plain BenchmarkEngineBlockInto BenchmarkEngineTimelineInto "$MIN_SPEEDUP"
-speedup_gate biased BenchmarkEngineBlockBiasedInto BenchmarkEngineTimelineBiasedInto "$MIN_BIASED_SPEEDUP"
+speedup_gate "plain block engine" BenchmarkEngineBlockInto BenchmarkEngineTimelineInto "$MIN_SPEEDUP"
+speedup_gate "biased block engine" BenchmarkEngineBlockBiasedInto BenchmarkEngineTimelineBiasedInto "$MIN_BIASED_SPEEDUP"
+# Fleet gate (no override): a group in BenchmarkFleetInto's contended
+# 10,000-group chronology must cost no more than an independent
+# event-engine group. The fleet's global heap carries only repair-server
+# events; defect arrivals drain per group, so coupling costs no global
+# ordering of the ~95% of events that touch one group alone.
+speedup_gate "fleet engine" BenchmarkFleetInto BenchmarkEngineTimelineInto 1 ns/group
 
 # Head-only topology gate: a flat (component-free) topology must compile
 # down to the plain per-drive event engine — its median may sit at most
